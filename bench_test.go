@@ -349,6 +349,24 @@ func BenchmarkGuestReadHitPath(b *testing.B) {
 	}
 }
 
+// BenchmarkGuestReadMissChurn cycles one-block reads over a file four
+// times the container's memory limit, so every read misses the page
+// cache, inserts a page and reclaims one, whose eviction is put to the
+// hypervisor cache.
+func BenchmarkGuestReadMissChurn(b *testing.B) {
+	engine := sim.New(1)
+	host := hypervisor.New(engine, hypervisor.Config{Mode: ddcache.ModeDD, MemCacheBytes: 64 * mib})
+	vm := host.NewVM(1, 256*mib, 100)
+	c := vm.NewContainer("c", 16*mib, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
+	f := vm.Allocator().Alloc(4 * 16 * mib / 4096)
+	c.Read(0, f, 0, f.Blocks) // warm: the page cache is full and churning
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(time.Duration(i), f, int64(i)%f.Blocks, 1)
+	}
+}
+
 // BenchmarkAblationHybridStore exercises the hybrid configuration the
 // paper describes but defers evaluating: a single workload whose spill
 // exceeds its memory entitlement, under pure-memory, pure-SSD and hybrid

@@ -15,7 +15,6 @@
 package index
 
 import (
-	"container/list"
 	"sync/atomic"
 
 	"doubledecker/internal/cgroup"
@@ -42,8 +41,44 @@ type Object struct {
 	// stores (or drops) them.
 	Pending bool
 
-	elem *list.Element
+	// prev and next link the object into its pool's FIFO for Store
+	// (intrusive, so queueing an object allocates nothing).
+	prev, next *Object
 }
+
+// fifo is one store's insertion-ordered queue of objects, linked through
+// Object.prev/next: head is the oldest object.
+type fifo struct {
+	head, tail *Object
+}
+
+func (q *fifo) pushBack(obj *Object) {
+	obj.prev, obj.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.next = obj
+	} else {
+		q.head = obj
+	}
+	q.tail = obj
+}
+
+// remove unlinks obj, which must be queued on q.
+func (q *fifo) remove(obj *Object) {
+	if obj.prev != nil {
+		obj.prev.next = obj.next
+	} else {
+		q.head = obj.next
+	}
+	if obj.next != nil {
+		obj.next.prev = obj.prev
+	} else {
+		q.tail = obj.prev
+	}
+	obj.prev, obj.next = nil, nil
+}
+
+// holds reports whether obj is queued on q.
+func (q *fifo) holds(obj *Object) bool { return obj.prev != nil || q.head == obj }
 
 // storeSlots bounds the per-store accounting array: store types are
 // small consecutive constants (mem, SSD, hybrid, remote).
@@ -84,7 +119,7 @@ type Pool struct {
 	Name string
 
 	files map[uint64]*radix.Tree
-	fifo  map[cgroup.StoreType]*list.List
+	fifo  [storeSlots]fifo // per-store FIFO, indexed by storeSlot
 	// acct is atomic only for lock-free reads; writes happen on the
 	// caller-serialized structural paths.
 	acct Accounting
@@ -97,7 +132,6 @@ func NewPool(id cleancache.PoolID, vm cleancache.VMID, name string) *Pool {
 		VM:    vm,
 		Name:  name,
 		files: make(map[uint64]*radix.Tree),
-		fifo:  make(map[cgroup.StoreType]*list.List),
 	}
 }
 
@@ -128,13 +162,9 @@ func (p *Pool) Insert(obj *Object) *Object {
 			p.unlink(replaced)
 		}
 	}
-	q, ok := p.fifo[obj.Store]
-	if !ok {
-		q = list.New()
-		p.fifo[obj.Store] = q
-	}
-	obj.elem = q.PushBack(obj)
-	p.acct.used[storeSlot(obj.Store)].Add(obj.Size)
+	slot := storeSlot(obj.Store)
+	p.fifo[slot].pushBack(obj)
+	p.acct.used[slot].Add(obj.Size)
 	p.acct.count.Add(1)
 	return replaced
 }
@@ -174,11 +204,10 @@ func (p *Pool) Remove(obj *Object) bool {
 // unlink detaches obj from FIFO and accounting (index entry handled by
 // the caller).
 func (p *Pool) unlink(obj *Object) {
-	if obj.elem != nil {
-		p.fifo[obj.Store].Remove(obj.elem)
-		obj.elem = nil
-	}
 	slot := storeSlot(obj.Store)
+	if q := &p.fifo[slot]; q.holds(obj) {
+		q.remove(obj)
+	}
 	if n := p.acct.used[slot].Add(-obj.Size); n < 0 {
 		// Defensive clamp, as before the atomics: structural mutations
 		// are caller-serialized, so no concurrent writer can interleave.
@@ -189,12 +218,7 @@ func (p *Pool) unlink(obj *Object) {
 
 // Oldest returns the pool's oldest object in the given store, or nil.
 func (p *Pool) Oldest(st cgroup.StoreType) *Object {
-	q, ok := p.fifo[st]
-	if !ok || q.Len() == 0 {
-		return nil
-	}
-	obj, _ := q.Front().Value.(*Object)
-	return obj
+	return p.fifo[storeSlot(st)].head
 }
 
 // RemoveInode removes and returns all objects of a file (FlushInode,

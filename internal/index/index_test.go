@@ -217,3 +217,23 @@ func TestAcctViewTracksPool(t *testing.T) {
 		t.Errorf("count after remove = %d, want 1", got)
 	}
 }
+
+// Queueing an object is intrusive: an Insert/Remove cycle on a
+// preallocated object allocates nothing once its file's tree exists.
+func TestInsertRemoveDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	p := NewPool(1, 1, "c1")
+	p.Insert(obj(10, 0, cgroup.StoreMem)) // keeps inode 10's tree alive
+	o := obj(10, 1, cgroup.StoreMem)
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Insert(o)
+		if !p.Remove(o) {
+			t.Fatal("Remove missed the inserted object")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert/Remove allocates %.1f times per cycle, want 0", allocs)
+	}
+}

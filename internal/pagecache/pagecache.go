@@ -8,7 +8,7 @@
 package pagecache
 
 import (
-	"container/list"
+	"slices"
 	"time"
 
 	"doubledecker/internal/blockdev"
@@ -26,19 +26,6 @@ const PageHitCost = 700 * time.Nanosecond
 // disk for free and starve every reader behind the unbounded async queue.
 const dirtyRatioDivisor = 10
 
-// page is one resident page-cache page.
-type page struct {
-	inode   uint64
-	block   int64
-	diskOff int64
-	content uint64 // content identity (for deduplicating cache stores)
-	g       *cgroup.Group
-	dirty   bool
-	elem    *list.Element // position in the group LRU
-	dirtyEl *list.Element // position in the dirty FIFO, nil when clean
-	touched time.Duration
-}
-
 // IOStats aggregates one group's page cache activity.
 type IOStats struct {
 	Hits       int64 // page cache hits
@@ -52,20 +39,33 @@ type IOStats struct {
 	DeadlineFallbacks int64
 }
 
+// groupState is the page cache's per-group state. Groups are held by
+// pointer, so a *groupState (and its stats) stays valid while the group
+// table grows.
+type groupState struct {
+	g     *cgroup.Group
+	id    int32 // index in Cache.groups, as named by page.group
+	stats IOStats
+	lru   pageList
+	// dirty pages are tracked per group (as the kernel's per-bdi/task
+	// dirty accounting does) so one container's write flood throttles
+	// only itself.
+	dirty pageList
+}
+
 // Cache is one VM's page cache.
 type Cache struct {
 	root  *cgroup.Root
 	front *cleancache.Front // may be nil: no second-chance cache
 	disk  blockdev.Device
 
-	pages map[uint64]map[int64]*page // inode → block → page
-	lrus  map[*cgroup.Group]*list.List
-	// dirty pages are tracked per group (as the kernel's per-bdi/task
-	// dirty accounting does) so one container's write flood throttles
-	// only itself.
-	dirty      map[*cgroup.Group]*list.List
+	slab                           // every resident page, by value
+	index      pageIndex           // (inode, block) → slab index
+	files      map[uint64]pageList // inode → its resident pages
+	groups     []*groupState
+	groupIDs   map[*cgroup.Group]int32
 	dirtyTotal int
-	stats      map[*cgroup.Group]*IOStats
+	syncBlocks []int64 // Fsync's scratch buffer
 
 	// accessHook, when set, observes every read access (hit or miss) —
 	// the feed for MRC/WSS estimators driving adaptive policies.
@@ -88,13 +88,12 @@ var _ cgroup.FileReclaimer = (*Cache)(nil)
 // root's file reclaimer.
 func New(root *cgroup.Root, front *cleancache.Front, disk blockdev.Device) *Cache {
 	c := &Cache{
-		root:  root,
-		front: front,
-		disk:  disk,
-		pages: make(map[uint64]map[int64]*page),
-		lrus:  make(map[*cgroup.Group]*list.List),
-		dirty: make(map[*cgroup.Group]*list.List),
-		stats: make(map[*cgroup.Group]*IOStats),
+		root:     root,
+		front:    front,
+		disk:     disk,
+		slab:     slab{free: nilPage},
+		files:    make(map[uint64]pageList),
+		groupIDs: make(map[*cgroup.Group]int32),
 	}
 	root.SetReclaimer(c)
 	return c
@@ -124,100 +123,106 @@ func (c *Cache) ReadWindow() int { return c.readWindow }
 
 // Stats returns the accumulated counters for g.
 func (c *Cache) Stats(g *cgroup.Group) IOStats {
-	if s, ok := c.stats[g]; ok {
-		return *s
+	if gs := c.stateIf(g); gs != nil {
+		return gs.stats
 	}
 	return IOStats{}
 }
 
-func (c *Cache) statsFor(g *cgroup.Group) *IOStats {
-	s, ok := c.stats[g]
-	if !ok {
-		s = &IOStats{}
-		c.stats[g] = s
+// stateIf returns g's state, or nil if the cache has never seen g.
+func (c *Cache) stateIf(g *cgroup.Group) *groupState {
+	if id, ok := c.groupIDs[g]; ok {
+		return c.groups[id]
 	}
-	return s
+	return nil
 }
 
-func (c *Cache) lruFor(g *cgroup.Group) *list.List {
-	l, ok := c.lrus[g]
-	if !ok {
-		l = list.New()
-		c.lrus[g] = l
+// state returns g's state, adding g to the group table on first use.
+func (c *Cache) state(g *cgroup.Group) *groupState {
+	if gs := c.stateIf(g); gs != nil {
+		return gs
 	}
-	return l
+	gs := &groupState{g: g, id: int32(len(c.groups)), lru: emptyList(), dirty: emptyList()}
+	c.groupIDs[g] = gs.id
+	c.groups = append(c.groups, gs)
+	return gs
 }
 
-func (c *Cache) dirtyFor(g *cgroup.Group) *list.List {
-	l, ok := c.dirty[g]
-	if !ok {
-		l = list.New()
-		c.dirty[g] = l
-	}
-	return l
+func (c *Cache) lookup(inode uint64, block int64) int32 {
+	return c.index.find(c.pages, inode, block)
 }
 
-func (c *Cache) markDirty(p *page) {
+func (c *Cache) markDirty(i int32) {
+	p := &c.pages[i]
 	p.dirty = true
-	p.dirtyEl = c.dirtyFor(p.g).PushBack(p)
+	c.pushBack(&c.groups[p.group].dirty, dirtyList, i)
 	c.dirtyTotal++
 }
 
-func (c *Cache) lookup(inode uint64, block int64) *page {
-	blocks, ok := c.pages[inode]
-	if !ok {
-		return nil
-	}
-	return blocks[block]
+// markClean takes dirty page i off its group's dirty FIFO.
+func (c *Cache) markClean(i int32) {
+	p := &c.pages[i]
+	p.dirty = false
+	c.unlink(&c.groups[p.group].dirty, dirtyList, i)
+	c.dirtyTotal--
 }
 
-// insert adds a page for g, making room under the cgroup and VM limits
+// insert adds a page for gs, making room under the cgroup and VM limits
 // first. Returns the reclaim latency incurred.
-func (c *Cache) insert(now time.Duration, g *cgroup.Group, inode uint64, block, diskOff int64, content uint64, dirty bool) (*page, time.Duration) {
-	lat := g.EnsureRoom(now, 1)
-	p := &page{inode: inode, block: block, diskOff: diskOff, content: content, g: g, dirty: dirty, touched: now + lat}
-	blocks, ok := c.pages[inode]
+func (c *Cache) insert(now time.Duration, gs *groupState, inode uint64, block, diskOff int64, content uint64, dirty bool) time.Duration {
+	lat := gs.g.EnsureRoom(now, 1)
+	i := c.alloc()
+	c.pages[i] = page{inode: inode, block: block, diskOff: diskOff, content: content, group: gs.id, touched: now + lat}
+	c.index.insert(c.pages, i)
+	fl, ok := c.files[inode]
 	if !ok {
-		blocks = make(map[int64]*page)
-		c.pages[inode] = blocks
+		fl = emptyList()
 	}
-	blocks[block] = p
-	p.elem = c.lruFor(g).PushFront(p)
+	c.pushFront(&fl, fileList, i)
+	c.files[inode] = fl
+	c.pushFront(&gs.lru, lruList, i)
 	if dirty {
-		p.dirty = false // markDirty sets it
-		c.markDirty(p)
+		c.markDirty(i)
 	}
-	g.ChargeFile(1)
-	return p, lat
+	gs.g.ChargeFile(1)
+	return lat
 }
 
 // touch refreshes a page's LRU position.
-func (c *Cache) touch(now time.Duration, p *page) {
+func (c *Cache) touch(now time.Duration, i int32) {
+	p := &c.pages[i]
 	p.touched = now
-	c.lruFor(p.g).MoveToFront(p.elem)
+	c.moveToFront(&c.groups[p.group].lru, lruList, i)
 }
 
-// drop removes a page from all structures without writeback.
-func (c *Cache) drop(p *page) {
-	blocks := c.pages[p.inode]
-	delete(blocks, p.block)
-	if len(blocks) == 0 {
-		delete(c.pages, p.inode)
+// drop removes a page from all structures without writeback and frees
+// its slot.
+func (c *Cache) drop(i int32) {
+	p := &c.pages[i]
+	gs := c.groups[p.group]
+	c.index.remove(c.pages, i)
+	fl := c.files[p.inode]
+	c.unlink(&fl, fileList, i)
+	if fl.n == 0 {
+		delete(c.files, p.inode)
+	} else {
+		c.files[p.inode] = fl
 	}
-	c.lruFor(p.g).Remove(p.elem)
-	if p.dirtyEl != nil {
-		c.dirtyFor(p.g).Remove(p.dirtyEl)
-		p.dirtyEl = nil
-		c.dirtyTotal--
+	c.unlink(&gs.lru, lruList, i)
+	if p.dirty {
+		c.markClean(i)
 	}
-	p.g.UnchargeFile(1)
+	gs.g.UnchargeFile(1)
+	c.release(i)
 }
 
 // Read serves n blocks of f starting at start on behalf of g, returning
 // the total latency: page cache hits at memory cost, second-chance hits at
 // hypercall+store cost, the rest from the virtual disk.
 func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start, n int64) time.Duration {
-	st := c.statsFor(g)
+	gs := c.state(g)
+	st := &gs.stats
+	inode := uint64(f.Inode)
 	var lat time.Duration
 	end := start + n
 	if end > f.Blocks {
@@ -226,10 +231,10 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 	for b := start; b < end; b++ {
 		at := now + lat
 		if c.accessHook != nil {
-			c.accessHook(g, uint64(f.Inode), b)
+			c.accessHook(g, inode, b)
 		}
-		if p := c.lookup(uint64(f.Inode), b); p != nil {
-			c.touch(at, p)
+		if i := c.lookup(inode, b); i != nilPage {
+			c.touch(at, i)
 			lat += PageHitCost
 			st.Hits++
 			continue
@@ -237,18 +242,18 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 		if c.front != nil && c.readWindow > 0 {
 			// Pipelined path: the whole miss-run is probed through
 			// in-flight async handles (readPipelined counts the misses).
-			next, ml := c.readPipelined(at, g, f, b, end)
+			next, ml := c.readPipelined(at, gs, f, b, end)
 			lat += ml
 			b = next - 1
 			continue
 		}
 		st.Misses++
 		if c.front != nil {
-			hit, l := c.front.Get(at, g, uint64(f.Inode), b)
+			hit, l := c.front.Get(at, g, inode, b)
 			lat += l
 			if hit {
 				st.CCHits++
-				_, il := c.insert(at+l, g, uint64(f.Inode), b, f.BlockOffset(b), f.ContentKey(b), false)
+				il := c.insert(at+l, gs, inode, b, f.BlockOffset(b), f.ContentKey(b), false)
 				lat += il + PageHitCost
 				continue
 			}
@@ -260,19 +265,19 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 		runEnd := b + 1
 		ccStopped := false
 		for runEnd < end {
-			if c.lookup(uint64(f.Inode), runEnd) != nil {
+			if c.lookup(inode, runEnd) != nilPage {
 				break
 			}
 			if c.front != nil {
-				hit, l := c.front.Get(now+lat, g, uint64(f.Inode), runEnd)
+				hit, l := c.front.Get(now+lat, g, inode, runEnd)
 				lat += l
 				if hit {
 					if c.accessHook != nil {
-						c.accessHook(g, uint64(f.Inode), runEnd)
+						c.accessHook(g, inode, runEnd)
 					}
 					st.Misses++
 					st.CCHits++
-					_, il := c.insert(now+lat, g, uint64(f.Inode), runEnd, f.BlockOffset(runEnd), f.ContentKey(runEnd), false)
+					il := c.insert(now+lat, gs, inode, runEnd, f.BlockOffset(runEnd), f.ContentKey(runEnd), false)
 					lat += il + PageHitCost
 					ccStopped = true
 					break
@@ -290,9 +295,9 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 		st.Misses += runLen - 1
 		for rb := b; rb < runEnd; rb++ {
 			if c.accessHook != nil && rb > b {
-				c.accessHook(g, uint64(f.Inode), rb)
+				c.accessHook(g, inode, rb)
 			}
-			_, il := c.insert(now+lat, g, uint64(f.Inode), rb, f.BlockOffset(rb), f.ContentKey(rb), false)
+			il := c.insert(now+lat, gs, inode, rb, f.BlockOffset(rb), f.ContentKey(rb), false)
 			lat += il + PageHitCost
 		}
 		b = runEnd - 1
@@ -316,8 +321,8 @@ func (c *Cache) Read(now time.Duration, g *cgroup.Group, f *fsmodel.File, start,
 // The probed set is identical to the synchronous path: every
 // non-resident block until the first resident page or the request end.
 // Returns the first block not consumed and the latency charged.
-func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.File, b, end int64) (int64, time.Duration) {
-	st := c.statsFor(g)
+func (c *Cache) readPipelined(base time.Duration, gs *groupState, f *fsmodel.File, b, end int64) (int64, time.Duration) {
+	g, st := gs.g, &gs.stats
 	inode := uint64(f.Inode)
 	var (
 		lat              time.Duration
@@ -332,15 +337,15 @@ func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.Fi
 		lat += dl
 		st.DiskReads += runLen
 		for rb := runStart; rb < runStart+runLen; rb++ {
-			_, il := c.insert(base+lat, g, inode, rb, f.BlockOffset(rb), f.ContentKey(rb), false)
+			il := c.insert(base+lat, gs, inode, rb, f.BlockOffset(rb), f.ContentKey(rb), false)
 			lat += il + PageHitCost
 		}
 		runLen = 0
 	}
 	wb := b
-	for wb < end && c.lookup(inode, wb) == nil {
+	for wb < end && c.lookup(inode, wb) == nilPage {
 		we := wb
-		for we < end && we-wb < int64(c.readWindow) && c.lookup(inode, we) == nil {
+		for we < end && we-wb < int64(c.readWindow) && c.lookup(inode, we) == nilPage {
 			we++
 		}
 		handles = handles[:0]
@@ -369,7 +374,7 @@ func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.Fi
 			}
 			flushRun()
 			st.CCHits++
-			_, il := c.insert(base+lat, g, inode, pb, f.BlockOffset(pb), f.ContentKey(pb), false)
+			il := c.insert(base+lat, gs, inode, pb, f.BlockOffset(pb), f.ContentKey(pb), false)
 			lat += il + PageHitCost
 		}
 		wb = we
@@ -381,32 +386,33 @@ func (c *Cache) readPipelined(base time.Duration, g *cgroup.Group, f *fsmodel.Fi
 // Write dirties n blocks of f starting at start (whole-block writes, no
 // read-modify-write). Stale second-chance copies are invalidated.
 func (c *Cache) Write(now time.Duration, g *cgroup.Group, f *fsmodel.File, start, n int64) time.Duration {
-	st := c.statsFor(g)
-	lat := c.throttleDirty(now, g)
+	gs := c.state(g)
+	inode := uint64(f.Inode)
+	lat := c.throttleDirty(now, gs)
 	end := start + n
 	if end > f.Blocks {
 		end = f.Blocks
 	}
 	for b := start; b < end; b++ {
 		at := now + lat
-		if p := c.lookup(uint64(f.Inode), b); p != nil {
-			c.touch(at, p)
-			if !p.dirty {
-				c.markDirty(p)
+		if i := c.lookup(inode, b); i != nilPage {
+			c.touch(at, i)
+			if !c.pages[i].dirty {
+				c.markDirty(i)
 			}
 			c.writeSeq++
-			p.content = ^c.writeSeq // written content is unique
+			c.pages[i].content = ^c.writeSeq // written content is unique
 			lat += PageHitCost
-			st.Hits++
+			gs.stats.Hits++
 			continue
 		}
-		st.Misses++
+		gs.stats.Misses++
 		// A stale copy may live in the second-chance cache; invalidate.
 		if c.front != nil {
-			lat += c.front.FlushPage(at, g, uint64(f.Inode), b)
+			lat += c.front.FlushPage(at, g, inode, b)
 		}
 		c.writeSeq++
-		_, il := c.insert(now+lat, g, uint64(f.Inode), b, f.BlockOffset(b), ^c.writeSeq, true)
+		il := c.insert(now+lat, gs, inode, b, f.BlockOffset(b), ^c.writeSeq, true)
 		lat += il + PageHitCost
 	}
 	return lat
@@ -415,22 +421,23 @@ func (c *Cache) Write(now time.Duration, g *cgroup.Group, f *fsmodel.File, start
 // Fsync synchronously writes back every dirty page of f, coalescing
 // contiguous runs into single disk writes.
 func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.Duration {
-	blocks, ok := c.pages[uint64(f.Inode)]
+	fl, ok := c.files[uint64(f.Inode)]
 	if !ok {
 		return 0
 	}
 	// Collect dirty blocks in ascending order for run coalescing.
-	var dirtyBlocks []int64
-	for b, p := range blocks {
-		if p.dirty {
-			dirtyBlocks = append(dirtyBlocks, b)
+	dirtyBlocks := c.syncBlocks[:0]
+	for i := fl.head; i != nilPage; i = c.pages[i].links[fileList].next {
+		if c.pages[i].dirty {
+			dirtyBlocks = append(dirtyBlocks, c.pages[i].block)
 		}
 	}
+	c.syncBlocks = dirtyBlocks
 	if len(dirtyBlocks) == 0 {
 		return 0
 	}
-	sortInt64s(dirtyBlocks)
-	st := c.statsFor(g)
+	slices.Sort(dirtyBlocks)
+	st := &c.state(g).stats
 	var lat time.Duration
 	runStart := dirtyBlocks[0]
 	runLen := int64(1)
@@ -448,13 +455,9 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 		runStart, runLen = b, 1
 	}
 	flushRun(runStart, runLen)
-	for _, b := range dirtyBlocks {
-		p := blocks[b]
-		p.dirty = false
-		if p.dirtyEl != nil {
-			c.dirtyFor(p.g).Remove(p.dirtyEl)
-			p.dirtyEl = nil
-			c.dirtyTotal--
+	for i := fl.head; i != nilPage; i = c.pages[i].links[fileList].next {
+		if c.pages[i].dirty {
+			c.markClean(i)
 		}
 	}
 	return lat
@@ -463,14 +466,11 @@ func (c *Cache) Fsync(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.
 // Invalidate drops all pages of f (file deletion/truncation) without
 // writeback and flushes the file from the second-chance cache.
 func (c *Cache) Invalidate(now time.Duration, g *cgroup.Group, f *fsmodel.File) time.Duration {
-	blocks, ok := c.pages[uint64(f.Inode)]
-	if ok {
-		pages := make([]*page, 0, len(blocks))
-		for _, p := range blocks {
-			pages = append(pages, p)
-		}
-		for _, p := range pages {
-			c.drop(p)
+	if fl, ok := c.files[uint64(f.Inode)]; ok {
+		for i := fl.head; i != nilPage; {
+			next := c.pages[i].links[fileList].next
+			c.drop(i)
+			i = next
 		}
 	}
 	if c.front != nil {
@@ -479,39 +479,34 @@ func (c *Cache) Invalidate(now time.Duration, g *cgroup.Group, f *fsmodel.File) 
 	return 0
 }
 
-// dirtyRun collects the oldest dirty page of l plus following entries
-// that are disk-contiguous with it (writeback clustering). It does not
-// mutate state.
-func dirtyRun(l *list.List, max int) []*page {
-	if l == nil || l.Len() == 0 {
-		return nil
+// dirtyRun measures the oldest dirty page of gs plus the following
+// entries that are disk-contiguous with it (writeback clustering), at
+// most max pages. It returns the run's first page and length without
+// mutating state.
+func (c *Cache) dirtyRun(gs *groupState, max int) (first int32, n int) {
+	first = gs.dirty.head
+	if first == nilPage {
+		return nilPage, 0
 	}
-	first, ok := l.Front().Value.(*page)
-	if !ok {
-		return nil
-	}
-	run := []*page{first}
-	for e := first.dirtyEl.Next(); e != nil && len(run) < max; e = e.Next() {
-		q, ok := e.Value.(*page)
-		if !ok || q.inode != first.inode ||
-			q.diskOff != run[len(run)-1].diskOff+fsmodel.BlockSize {
+	n = 1
+	last := first
+	for q := c.pages[first].links[dirtyList].next; q != nilPage && n < max; q = c.pages[q].links[dirtyList].next {
+		if c.pages[q].inode != c.pages[first].inode ||
+			c.pages[q].diskOff != c.pages[last].diskOff+fsmodel.BlockSize {
 			break
 		}
-		run = append(run, q)
+		last = q
+		n++
 	}
-	return run
+	return first, n
 }
 
-// clean marks a writeback run clean.
-func (c *Cache) clean(run []*page) {
-	for _, p := range run {
-		c.statsFor(p.g).DiskWrites++
-		p.dirty = false
-		if p.dirtyEl != nil {
-			c.dirtyFor(p.g).Remove(p.dirtyEl)
-			p.dirtyEl = nil
-			c.dirtyTotal--
-		}
+// cleanOldest marks the n oldest dirty pages of gs clean, counting them
+// as written back.
+func (c *Cache) cleanOldest(gs *groupState, n int) {
+	for ; n > 0; n-- {
+		gs.stats.DiskWrites++
+		c.markClean(gs.dirty.head)
 	}
 }
 
@@ -527,18 +522,17 @@ func (c *Cache) dirtyLimit() int {
 // throttleDirty blocks a writer in foreground writeback of its own dirty
 // pages until its backlog is back under its share of the threshold,
 // returning the stall time. Other groups' dirt never stalls this writer.
-func (c *Cache) throttleDirty(now time.Duration, g *cgroup.Group) time.Duration {
+func (c *Cache) throttleDirty(now time.Duration, gs *groupState) time.Duration {
 	limit := c.dirtyLimit() / 2
 	var lat time.Duration
-	l := c.dirty[g]
-	for l != nil && l.Len() > limit {
-		run := dirtyRun(l, 256)
-		if len(run) == 0 {
+	for int(gs.dirty.n) > limit {
+		first, n := c.dirtyRun(gs, 256)
+		if n == 0 {
 			break
 		}
-		wl, _ := c.disk.Write(now+lat, run[0].diskOff, int64(len(run))*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
+		wl, _ := c.disk.Write(now+lat, c.pages[first].diskOff, int64(n)*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
 		lat += wl
-		c.clean(run)
+		c.cleanOldest(gs, n)
 	}
 	return lat
 }
@@ -550,14 +544,15 @@ func (c *Cache) throttleDirty(now time.Duration, g *cgroup.Group) time.Duration 
 // Returns pages cleaned.
 func (c *Cache) FlushDirty(now time.Duration, max int) int {
 	n := 0
+	groups := c.root.Groups()
 	// Drain every group each round so one container's write flood cannot
 	// starve another's few dirty pages (which would otherwise stall that
 	// container in reclaim-time writeback). Each round splits the budget
 	// across the groups that have dirt.
 	for n < max && c.dirtyTotal > 0 {
 		dirtyGroups := 0
-		for _, l := range c.dirty {
-			if l.Len() > 0 {
+		for _, gs := range c.groups {
+			if gs.dirty.n > 0 {
 				dirtyGroups++
 			}
 		}
@@ -569,22 +564,22 @@ func (c *Cache) FlushDirty(now time.Duration, max int) int {
 			quota = 1
 		}
 		progressed := false
-		for _, g := range c.root.Groups() {
-			l := c.dirty[g]
-			if l == nil || l.Len() == 0 || n >= max {
+		for _, g := range groups {
+			gs := c.stateIf(g)
+			if gs == nil || gs.dirty.n == 0 || n >= max {
 				continue
 			}
 			limit := quota
 			if rem := max - n; limit > rem {
 				limit = rem
 			}
-			run := dirtyRun(l, limit)
-			if len(run) == 0 {
+			first, run := c.dirtyRun(gs, limit)
+			if run == 0 {
 				continue
 			}
-			_ = c.disk.WriteAsync(now, run[0].diskOff, int64(len(run))*fsmodel.BlockSize) // ddlint:err-ok background writeback; errors surface on the next sync write
-			c.clean(run)
-			n += len(run)
+			_ = c.disk.WriteAsync(now, c.pages[first].diskOff, int64(run)*fsmodel.BlockSize) // ddlint:err-ok background writeback; errors surface on the next sync write
+			c.cleanOldest(gs, run)
+			n += run
 			progressed = true
 		}
 		if !progressed {
@@ -600,14 +595,14 @@ func (c *Cache) DirtyPages() int { return c.dirtyTotal }
 // Resident reports whether a block is currently in the page cache,
 // without touching LRU state — an inspection hook for tests and tooling.
 func (c *Cache) Resident(inode uint64, block int64) bool {
-	return c.lookup(inode, block) != nil
+	return c.lookup(inode, block) != nilPage
 }
 
 // TotalPages reports resident file pages across all groups.
 func (c *Cache) TotalPages() int64 {
 	var n int64
-	for _, l := range c.lrus {
-		n += int64(l.Len())
+	for _, gs := range c.groups {
+		n += int64(gs.lru.n)
 	}
 	return n
 }
@@ -620,41 +615,43 @@ func (c *Cache) TotalPages() int64 {
 // outrunning the disk through the reclaim path); clean pages are offered
 // to the second-chance cache (the paper's put on clean evict).
 func (c *Cache) ReclaimFile(now time.Duration, g *cgroup.Group, want int64) (int64, time.Duration) {
-	l, ok := c.lrus[g]
-	if !ok {
+	gs := c.stateIf(g)
+	if gs == nil {
 		return 0, 0
 	}
 	var (
 		freed int64
 		lat   time.Duration
 	)
-	for freed < want && l.Len() > 0 {
-		p, ok := l.Back().Value.(*page)
-		if !ok {
-			break
-		}
-		if p.dirty {
+	for freed < want && gs.lru.n > 0 {
+		i := gs.lru.tail
+		if c.pages[i].dirty {
 			// Cluster the writeback: walk up the LRU for contiguous
 			// dirty pages of the same file (they aged together) and
 			// clean them with one device write.
-			run := []*page{p}
-			for e := p.elem.Prev(); e != nil; e = e.Prev() {
-				q, ok := e.Value.(*page)
-				if !ok || !q.dirty || q.inode != p.inode ||
-					q.diskOff != run[len(run)-1].diskOff+fsmodel.BlockSize {
+			n, last := int64(1), i
+			for q := c.pages[i].links[lruList].prev; q != nilPage; q = c.pages[q].links[lruList].prev {
+				if !c.pages[q].dirty || c.pages[q].inode != c.pages[i].inode ||
+					c.pages[q].diskOff != c.pages[last].diskOff+fsmodel.BlockSize {
 					break
 				}
-				run = append(run, q)
+				last = q
+				n++
 			}
-			wl, _ := c.disk.Write(now+lat, p.diskOff, int64(len(run))*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
+			wl, _ := c.disk.Write(now+lat, c.pages[i].diskOff, n*fsmodel.BlockSize) // ddlint:err-ok guest disk errors are outside the cleancache failure model
 			lat += wl
-			c.clean(run)
+			for q := i; n > 0; n-- {
+				gs.stats.DiskWrites++
+				c.markClean(q)
+				q = c.pages[q].links[lruList].prev
+			}
 		}
 		if c.front != nil {
+			p := &c.pages[i]
 			_, pl := c.front.Put(now+lat, g, p.inode, p.block, p.content)
 			lat += pl
 		}
-		c.drop(p)
+		c.drop(i)
 		freed++
 	}
 	return freed, lat
@@ -662,23 +659,9 @@ func (c *Cache) ReclaimFile(now time.Duration, g *cgroup.Group, want int64) (int
 
 // OldestFilePage implements cgroup.FileReclaimer.
 func (c *Cache) OldestFilePage(g *cgroup.Group) (time.Duration, bool) {
-	l, ok := c.lrus[g]
-	if !ok || l.Len() == 0 {
+	gs := c.stateIf(g)
+	if gs == nil || gs.lru.n == 0 {
 		return 0, false
 	}
-	p, ok := l.Back().Value.(*page)
-	if !ok {
-		return 0, false
-	}
-	return p.touched, true
-}
-
-// sortInt64s is a small insertion-capable sort to avoid pulling reflect-
-// based sorting into the hot fsync path for tiny slices.
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return c.pages[gs.lru.tail].touched, true
 }

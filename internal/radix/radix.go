@@ -9,6 +9,9 @@ const (
 	bits   = 6
 	fanout = 1 << bits
 	mask   = fanout - 1
+	// maxLevels bounds the height of any tree: non-negative int64 keys
+	// have 63 significant bits, bits of them per level.
+	maxLevels = (63 + bits - 1) / bits
 )
 
 type node struct {
@@ -34,12 +37,13 @@ func (t *Tree) Len() int { return t.size }
 
 // maxKey returns the largest key representable at the current height.
 func (t *Tree) maxKey() int64 {
+	const maxInt64 = int64(^uint64(0) >> 1)
 	k := int64(1)
 	for i := 0; i <= t.height; i++ {
-		k *= fanout
-		if k < 0 { // overflow: whole int64 space covered
-			return int64(^uint64(0) >> 1)
+		if k > maxInt64/fanout { // next level covers the whole int64 space
+			return maxInt64
 		}
+		k *= fanout
 	}
 	return k - 1
 }
@@ -113,11 +117,14 @@ func (t *Tree) Delete(key int64) any {
 	if key < 0 || key > t.maxKey() {
 		return nil
 	}
-	// Record the path for pruning.
-	path := make([]*node, 0, t.height+1)
+	// Record the path for pruning, on the stack: path[i] is the node at
+	// level height-i.
+	var path [maxLevels]*node
+	depth := 0
 	n := t.root
 	for level := t.height; level > 0; level-- {
-		path = append(path, n)
+		path[depth] = n
+		depth++
 		child, ok := n.slots[slotIndex(key, level)].(*node)
 		if !ok {
 			return nil
@@ -133,7 +140,7 @@ func (t *Tree) Delete(key int64) any {
 	n.count--
 	t.size--
 	// Prune empty nodes bottom-up.
-	for i := len(path) - 1; i >= 0 && n.count == 0; i-- {
+	for i := depth - 1; i >= 0 && n.count == 0; i-- {
 		parent := path[i]
 		level := t.height - i
 		parent.slots[slotIndex(key, level)] = nil

@@ -164,3 +164,44 @@ func TestPropertyMatchesMap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Delete records its pruning path on the stack, so it never allocates,
+// even at full height.
+func TestDeleteDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	tr := New()
+	v := new(int)
+	const keys = 256
+	for i := int64(0); i < keys; i++ {
+		tr.Insert(i<<50, v) // spread over the top levels of a full-height tree
+	}
+	tr.Insert(1<<62, v)
+	next := int64(0)
+	allocs := testing.AllocsPerRun(keys-1, func() {
+		if tr.Delete(next<<50) == nil {
+			t.Fatalf("key %d missing", next<<50)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Delete allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// Keys up to the int64 maximum fit: growing to full height must not
+// overflow the key-space bound.
+func TestFullHeightKeys(t *testing.T) {
+	tr := New()
+	const maxKey = int64(^uint64(0) >> 1)
+	for _, k := range []int64{1 << 60, 1 << 62, maxKey} {
+		tr.Insert(k, k)
+		if got := tr.Get(k); got != k {
+			t.Fatalf("Get(%d) = %v", k, got)
+		}
+	}
+	if tr.Delete(maxKey) != maxKey || tr.Len() != 2 {
+		t.Fatalf("Delete(max) left Len %d", tr.Len())
+	}
+}
