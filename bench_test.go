@@ -1,8 +1,7 @@
-// Benchmark harness: one benchmark per reproduced table and figure (each
-// runs the scenario end-to-end on virtual time and reports the artifact's
-// headline number as a custom metric), ablation benchmarks for the design
-// choices DESIGN.md calls out (eviction batch size, Algorithm 1's
-// redistribution step), and micro-benchmarks of the hot paths.
+// Benchmark harness: ablation benchmarks for the design choices DESIGN.md
+// calls out (eviction batch size, Algorithm 1's redistribution step) and
+// micro-benchmarks of the hot paths. The paper's tables and figures are
+// reproduced by ddbench, which prints each experiment's wall time.
 //
 // Run with: go test -bench=. -benchmem
 package main
@@ -14,67 +13,20 @@ import (
 	"testing"
 	"time"
 
-	"doubledecker/internal/blockdev"
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/ddcache"
 	"doubledecker/internal/estimator"
-	"doubledecker/internal/experiments"
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypercall"
 	"doubledecker/internal/hypervisor"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/radix"
 	"doubledecker/internal/sim"
-	"doubledecker/internal/store"
 	"doubledecker/internal/workload"
 )
 
 const mib = int64(1) << 20
-
-// benchOpts returns short-run options. The seed is fixed: iterations
-// after the first hit the experiment memoization, so the benchmark is
-// safe under Go's automatic b.N ramping (a fresh seed per iteration
-// would re-run a multi-second scenario thousands of times). To time a
-// single full scenario, run with -benchtime 1x.
-func benchOpts() experiments.Opts {
-	o := experiments.QuickOpts()
-	o.Stretch = 0.05
-	return o
-}
-
-// runExperiment drives one registered experiment; the first iteration
-// does the real work, later ones validate the cached result path.
-func runExperiment(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	runner, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		last = runner(benchOpts())
-		if last == nil || last.ID != id {
-			b.Fatalf("experiment %q returned bad result", id)
-		}
-	}
-	return last
-}
-
-// --- one benchmark per paper artifact ---------------------------------------
-
-func BenchmarkFig5Motivation(b *testing.B)          { runExperiment(b, "fig5") }
-func BenchmarkFig6Motivation(b *testing.B)          { runExperiment(b, "fig6") }
-func BenchmarkFig7Provisioning(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkTable1GuestMetrics(b *testing.B)      { runExperiment(b, "table1") }
-func BenchmarkFig9CacheDistribution(b *testing.B)   { runExperiment(b, "fig9") }
-func BenchmarkFig10VideoUsage(b *testing.B)         { runExperiment(b, "fig10") }
-func BenchmarkTable2CachingModes(b *testing.B)      { runExperiment(b, "table2") }
-func BenchmarkFig11PolicySpeedup(b *testing.B)      { runExperiment(b, "fig11") }
-func BenchmarkFig12PolicyDistribution(b *testing.B) { runExperiment(b, "fig12") }
-func BenchmarkTable4Cooperative(b *testing.B)       { runExperiment(b, "table4") }
-func BenchmarkFig13DynamicContainers(b *testing.B)  { runExperiment(b, "fig13") }
-func BenchmarkFig14DynamicVMs(b *testing.B)         { runExperiment(b, "fig14") }
 
 // --- ablations ---------------------------------------------------------------
 
@@ -178,11 +130,11 @@ func BenchmarkAblationGlobalVsDD(b *testing.B) {
 // newStressManager builds a mem+SSD manager with vms registered guests and
 // three pools each (mem, SSD, hybrid), matching the race tests' topology.
 func newStressManager(vms int) (*ddcache.Manager, [][]cleancache.PoolID) {
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("ram"), 256*mib),
-		SSD:  store.NewSSD(blockdev.NewSSD("ssd"), 1<<30),
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemCapacity(256*mib),
+		ddcache.WithSSDCapacity(1<<30),
+	)
 	stores := []cgroup.StoreType{cgroup.StoreMem, cgroup.StoreSSD, cgroup.StoreHybrid}
 	pools := make([][]cleancache.PoolID, vms)
 	for v := 0; v < vms; v++ {
@@ -262,10 +214,7 @@ func BenchmarkConcurrentPacedGuests(b *testing.B) {
 // --- micro-benchmarks of the hot paths ---------------------------------------
 
 func BenchmarkDDCachePutGet(b *testing.B) {
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("r"), 1<<30),
-	})
+	mgr := ddcache.New(ddcache.WithMode(ddcache.ModeDD), ddcache.WithMemCapacity(1<<30))
 	mgr.RegisterVM(1, 100)
 	pool, _ := mgr.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	b.ResetTimer()
@@ -277,10 +226,7 @@ func BenchmarkDDCachePutGet(b *testing.B) {
 }
 
 func BenchmarkDDCacheEvictionChurn(b *testing.B) {
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("r"), 16*mib),
-	})
+	mgr := ddcache.New(ddcache.WithMode(ddcache.ModeDD), ddcache.WithMemCapacity(16*mib))
 	mgr.RegisterVM(1, 100)
 	pool, _ := mgr.CreatePool(0, 1, "c", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	b.ResetTimer()
@@ -422,11 +368,11 @@ func BenchmarkAblationDedup(b *testing.B) {
 			var savedMiB float64
 			for i := 0; i < b.N; i++ {
 				engine := sim.New(int64(i + 1))
-				mgr := ddcache.NewManager(ddcache.Config{
-					Mode:  ddcache.ModeDD,
-					Mem:   store.NewMem(blockdev.NewRAM("r"), 512*mib),
-					Dedup: dedup,
-				})
+				mgr := ddcache.New(
+					ddcache.WithMode(ddcache.ModeDD),
+					ddcache.WithMemCapacity(512*mib),
+					ddcache.WithDedup(dedup),
+				)
 				mgr.RegisterVM(1, 100)
 				front := cleancache.NewFront(1, hypercall.NewTransport(mgr, hypercall.Options{}))
 				vm := guest.New(engine, guest.Config{ID: 1, MemBytes: 256 * mib}, front)
@@ -459,11 +405,11 @@ func BenchmarkAblationExclusiveVsInclusive(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
 				engine := sim.New(int64(i + 1))
-				mgr := ddcache.NewManager(ddcache.Config{
-					Mode:      ddcache.ModeDD,
-					Mem:       store.NewMem(blockdev.NewRAM("r"), 64*mib),
-					Inclusive: inclusive,
-				})
+				mgr := ddcache.New(
+					ddcache.WithMode(ddcache.ModeDD),
+					ddcache.WithMemCapacity(64*mib),
+					ddcache.WithInclusive(inclusive),
+				)
 				mgr.RegisterVM(1, 100)
 				front := cleancache.NewFront(1, hypercall.NewTransport(mgr, hypercall.Options{}))
 				vm := guest.New(engine, guest.Config{ID: 1, MemBytes: 256 * mib}, front)

@@ -18,7 +18,7 @@ import (
 func TestConcurrentMixedOps(t *testing.T) {
 	mem := store.NewMem(blockdev.NewRAM("ram"), 32<<20)
 	ssd := store.NewSSD(blockdev.NewSSD("ssd"), 64<<20)
-	m := NewManager(Config{Mode: ModeDD, Mem: mem, SSD: ssd})
+	m := newManager(Config{Mode: ModeDD, Mem: mem, SSD: ssd})
 	res := RunStress(m, StressOptions{
 		VMs:          4,
 		WorkersPerVM: 3,
@@ -45,7 +45,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 // so cross-VM duplicate puts race on the shared content-reference table.
 func TestConcurrentDedup(t *testing.T) {
 	mem := store.NewMem(blockdev.NewRAM("ram"), 32<<20)
-	m := NewManager(Config{Mode: ModeDD, Mem: mem, Dedup: true})
+	m := newManager(Config{Mode: ModeDD, Mem: mem, Dedup: true})
 	res := RunStress(m, StressOptions{
 		VMs:          4,
 		WorkersPerVM: 2,
@@ -76,7 +76,7 @@ func TestConcurrentDedup(t *testing.T) {
 // against the data path (the paper's dynamic re-provisioning, made safe).
 func TestConcurrentCapacityShrink(t *testing.T) {
 	mem := store.NewMem(blockdev.NewRAM("ram"), 64<<20)
-	m := NewManager(Config{Mode: ModeDD, Mem: mem})
+	m := newManager(Config{Mode: ModeDD, Mem: mem})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

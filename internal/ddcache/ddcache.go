@@ -307,11 +307,9 @@ type contentKey struct {
 
 var _ cleancache.Backend = (*Manager)(nil)
 
-// NewManager returns a manager over the configured stores.
-//
-// Deprecated: use New with functional options (WithMode, WithMemCapacity,
-// WithSSDBackend, ...). NewManager is kept as a shim for one release.
-func NewManager(cfg Config) *Manager {
+// newManager returns a manager over the configured stores; callers
+// outside the package build one with New and functional options.
+func newManager(cfg Config) *Manager {
 	if cfg.EvictBatchBytes <= 0 {
 		cfg.EvictBatchBytes = DefaultEvictBatch
 	}

@@ -20,7 +20,7 @@ func newMgr(mode Mode, memCap, ssdCap int64) *Manager {
 	if ssdCap > 0 {
 		cfg.SSD = store.NewSSD(blockdev.NewSSD("hostssd"), ssdCap)
 	}
-	return NewManager(cfg)
+	return newManager(cfg)
 }
 
 func key(pool cleancache.PoolID, inode uint64, block int64) cleancache.Key {
@@ -133,7 +133,7 @@ func TestGlobalModeNoContainerFairness(t *testing.T) {
 	// In DD mode the same sequence protects container a's share. The
 	// store here is tiny relative to the paper's 2 MiB batch, so scale
 	// the eviction batch down with it.
-	dd := NewManager(Config{
+	dd := newManager(Config{
 		Mode:            ModeDD,
 		Mem:             store.NewMem(blockdev.NewRAM("r"), 4*mib),
 		EvictBatchBytes: 64 << 10,

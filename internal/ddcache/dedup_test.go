@@ -11,7 +11,7 @@ import (
 )
 
 func newDedupMgr(memCap int64) *Manager {
-	return NewManager(Config{
+	return newManager(Config{
 		Mode:  ModeDD,
 		Mem:   store.NewMem(blockdev.NewRAM("r"), memCap),
 		Dedup: true,
@@ -144,7 +144,7 @@ func TestPropertyDedupAccounting(t *testing.T) {
 }
 
 func TestInclusiveModeKeepsObjectOnGet(t *testing.T) {
-	m := NewManager(Config{
+	m := newManager(Config{
 		Mode:      ModeDD,
 		Mem:       store.NewMem(blockdev.NewRAM("r"), 16*mib),
 		Inclusive: true,

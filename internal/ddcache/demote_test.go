@@ -20,7 +20,7 @@ import (
 )
 
 func newThreeTierManager(memCap, ssdCap, remoteCap int64, dq DemotionConfig) *Manager {
-	return NewManager(Config{
+	return newManager(Config{
 		Mode:            ModeDD,
 		Mem:             store.NewMem(blockdev.NewRAM("ram"), memCap),
 		SSD:             store.NewSSD(blockdev.NewSSD("ssd"), ssdCap),
@@ -128,7 +128,7 @@ func TestWriteBehindProperty(t *testing.T) {
 // miss. A resurrection would leave bytes on the remote store.
 func TestWriteBehindNoStaleServe(t *testing.T) {
 	const n = 512 // 2 MiB of puts through a 256 KiB SSD
-	m := NewManager(Config{
+	m := newManager(Config{
 		Mode:            ModeDD,
 		SSD:             store.NewSSD(blockdev.NewSSD("ssd"), 256<<10),
 		Remote:          remote.New(remote.Config{CapacityBytes: 16 << 20}),
@@ -231,7 +231,7 @@ func TestEvictTokenPerTier(t *testing.T) {
 
 	// Behavioral half: a remote-only pool overfilling the remote tier must
 	// evict (true drops) under its own token rather than growing unbounded.
-	rm := NewManager(Config{
+	rm := newManager(Config{
 		Mode:            ModeDD,
 		Remote:          remote.New(remote.Config{CapacityBytes: 64 << 10}),
 		EvictBatchBytes: 16 << 10,

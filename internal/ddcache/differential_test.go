@@ -54,29 +54,30 @@ func newDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, batch int64, dedup 
 // sequence (see store/remote), so the two independent instances stay in
 // lockstep and even slow-hit latencies must compare equal.
 func newTieredDuo(t testing.TB, mode ddcache.Mode, memCap, ssdCap, remoteCap, batch int64, dedup bool) *duo {
-	mcfg := ddcache.Config{Mode: mode, EvictBatchBytes: batch, Dedup: dedup}
+	mopts := []ddcache.Option{ddcache.WithMode(mode), ddcache.WithEvictBatch(batch), ddcache.WithDedup(dedup)}
 	ocfg := oracle.Config{Mode: oracle.Mode(mode), EvictBatchBytes: batch, Dedup: dedup}
 	d := &duo{t: t, memCap: memCap, ssdCap: ssdCap, remoteCap: remoteCap, dedup: dedup}
 	if memCap > 0 {
-		mcfg.Mem = store.NewMem(blockdev.NewRAM("m.ram"), memCap)
+		mopts = append(mopts, ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)))
 		d.oMem = store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 		ocfg.Mem = d.oMem
 	}
 	if ssdCap > 0 {
-		mcfg.SSD = store.NewSSD(blockdev.NewSSD("m.ssd"), ssdCap)
+		mopts = append(mopts, ddcache.WithSSDBackend(store.NewSSD(blockdev.NewSSD("m.ssd"), ssdCap)))
 		d.oSSD = store.NewSSD(blockdev.NewSSD("o.ssd"), ssdCap)
 		ocfg.SSD = d.oSSD
 	}
 	if remoteCap > 0 {
 		// A small demotion queue keeps the drain triggers firing often.
 		dq := ddcache.DemotionConfig{MaxDirtyBytes: 64 << 10, BatchBytes: 16 << 10}
-		mcfg.Remote = remote.New(remote.Config{CapacityBytes: remoteCap})
-		mcfg.Demotion = dq
+		mopts = append(mopts,
+			ddcache.WithRemoteBackend(remote.New(remote.Config{CapacityBytes: remoteCap})),
+			ddcache.WithDemotion(dq))
 		d.oRemote = remote.New(remote.Config{CapacityBytes: remoteCap})
 		ocfg.Remote = d.oRemote
 		ocfg.Demotion = oracle.DemotionConfig(dq)
 	}
-	d.m = ddcache.NewManager(mcfg)
+	d.m = ddcache.New(mopts...)
 	d.o = oracle.New(ocfg)
 	for i, w := range []int64{100, 80, 60, 40} {
 		vm := cleancache.VMID(i + 1)
@@ -392,11 +393,11 @@ func TestDifferentialLinearizable(t *testing.T) {
 		opsPerVM = 5000
 		memCap   = int64(64 << 20) // ample: the workload never fills it
 	)
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode:  ddcache.ModeDD,
-		Mem:   store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-		Dedup: true,
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)),
+		ddcache.WithDedup(true),
+	)
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem, Dedup: true})
 

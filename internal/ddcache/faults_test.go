@@ -24,7 +24,7 @@ func faultyMgr(plan fault.Plan, memCap, ssdCap int64, bc BreakerConfig, reg *met
 	}
 	dev := blockdev.NewSSD("fssd", blockdev.WithFaults(fault.New(plan)))
 	cfg.SSD = store.NewSSD(dev, ssdCap)
-	return NewManager(cfg)
+	return newManager(cfg)
 }
 
 func TestFailedSSDPutDropsObject(t *testing.T) {
@@ -244,7 +244,7 @@ func TestChaosFaultPlan(t *testing.T) {
 	}}
 	inj := fault.New(plan)
 	reg := metrics.NewRegistry()
-	m := NewManager(Config{
+	m := newManager(Config{
 		Mode:    ModeDD,
 		Mem:     store.NewMem(blockdev.NewRAM("chaos-ram"), 8<<20),
 		SSD:     store.NewSSD(blockdev.NewSSD("chaos-ssd", blockdev.WithFaults(inj)), 8<<20),

@@ -29,12 +29,12 @@ func FuzzDispatch(f *testing.F) {
 		ssdCap = int64(256 << 10)
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := ddcache.NewManager(ddcache.Config{
-			Mem:             store.NewMem(blockdev.NewRAM("f.ram"), memCap),
-			SSD:             store.NewSSD(blockdev.NewSSD("f.ssd"), ssdCap),
-			EvictBatchBytes: 64 << 10,
-			Dedup:           true,
-		})
+		m := ddcache.New(
+			ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("f.ram"), memCap)),
+			ddcache.WithSSDBackend(store.NewSSD(blockdev.NewSSD("f.ssd"), ssdCap)),
+			ddcache.WithEvictBatch(64<<10),
+			ddcache.WithDedup(true),
+		)
 		o := oracle.New(oracle.Config{
 			Mem:             store.NewMem(blockdev.NewRAM("o.ram"), memCap),
 			SSD:             store.NewSSD(blockdev.NewSSD("o.ssd"), ssdCap),

@@ -21,13 +21,14 @@ type Option func(*Config)
 //		ddcache.WithSSDCapacity(1<<30),
 //	)
 //
-// Unset knobs take the same defaults as NewManager.
+// Unset knobs take the package defaults (ModeDD, 2 MiB eviction batches,
+// 300 ns op overhead, Algorithm 1 victim selection).
 func New(opts ...Option) *Manager {
 	var cfg Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewManager(cfg)
+	return newManager(cfg)
 }
 
 // WithMode selects container awareness (ModeDD or ModeGlobal).

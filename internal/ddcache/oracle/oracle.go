@@ -221,7 +221,7 @@ type refKey struct {
 var _ cleancache.Backend = (*Oracle)(nil)
 
 // New returns an oracle over the configured stores, applying the same
-// defaults as ddcache.NewManager.
+// defaults as ddcache.New.
 func New(cfg Config) *Oracle {
 	if cfg.EvictBatchBytes <= 0 {
 		cfg.EvictBatchBytes = 2 << 20

@@ -24,9 +24,7 @@ import (
 func TestPropertyEpochWeightMonotone(t *testing.T) {
 	const capBytes = int64(1 << 20)
 	prop := func(rawWeights [4]uint16, bump uint16, which uint8) bool {
-		m := ddcache.NewManager(ddcache.Config{
-			Mem: store.NewMem(blockdev.NewRAM("p.ram"), capBytes),
-		})
+		m := ddcache.New(ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("p.ram"), capBytes)))
 		weights := make([]int64, len(rawWeights))
 		vms := make([]cleancache.VMID, len(rawWeights))
 		for i, rw := range rawWeights {
@@ -99,11 +97,11 @@ func TestSetCapacityChargesEvictionLatency(t *testing.T) {
 		memCap   = int64(4 << 20)
 		batch    = int64(256 << 10)
 	)
-	m := ddcache.NewManager(ddcache.Config{
-		Mem:             store.NewMem(blockdev.NewRAM("r.ram"), memCap),
-		EvictBatchBytes: batch,
-		OpOverhead:      overhead,
-	})
+	m := ddcache.New(
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("r.ram"), memCap)),
+		ddcache.WithEvictBatch(batch),
+		ddcache.WithOpOverhead(overhead),
+	)
 	m.RegisterVM(1, 100)
 	id, _ := m.CreatePool(0, 1, "r", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 

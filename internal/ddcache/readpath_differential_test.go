@@ -61,11 +61,11 @@ func TestDifferentialReadPathLinearizable(t *testing.T) {
 		memCap   = int64(64 << 20) // ample: no eviction, every put lands
 		raWindow = 8
 	)
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode:      ddcache.ModeDD,
-		Mem:       store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-		Inclusive: true, // streaming reads re-read files: keep objects on get
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)),
+		ddcache.WithInclusive(true), // streaming reads re-read files: keep objects on get
+	)
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem, Inclusive: true})
 
@@ -132,7 +132,7 @@ func TestDifferentialReadPathLinearizable(t *testing.T) {
 						Key:   cleancache.Key{Pool: pool, Inode: f, Block: 0},
 						Count: raWindow,
 					}).Latency)
-					var pending []*hypercall.PendingGet
+					var pending []*cleancache.PendingGet
 					for b := int64(0); b < blocks; b++ {
 						pg, lat := tr.SubmitAsync(now, cleancache.Request{
 							Op: cleancache.OpGet, VM: vm,

@@ -12,7 +12,7 @@ import (
 )
 
 // StressOptions configures RunStress, the concurrent mixed-workload driver
-// shared by the race tests, the benchmark suite and `ddbench -parallel`.
+// used by the race and fault tests.
 type StressOptions struct {
 	// VMs is the number of guest VMs registered with the manager; each is
 	// driven by its own workers, so VMs is also the sharding width the
@@ -237,7 +237,7 @@ func (o *BackendStressOptions) defaults() {
 // RunStressBackend creates o.Guests guests × o.PoolsPerGuest pools
 // through the op-dispatch interface and fans out one closed-loop
 // goroutine per guest issuing a deterministic Put/Get/Flush mix. It is
-// the measurement harness of `ddbench -scalingjson`: the same options
+// the measurement harness of the scaling experiment: the same options
 // against the sharded Manager and against the mutex-wrapped sequential
 // oracle yield the scaling table.
 func RunStressBackend(be cleancache.Backend, o BackendStressOptions) StressResult {

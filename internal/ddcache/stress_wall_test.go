@@ -25,7 +25,7 @@ func TestStressWallClockInjectable(t *testing.T) {
 	defer restore()
 
 	mem := store.NewMem(blockdev.NewRAM("ram"), 8<<20)
-	m := NewManager(Config{Mode: ModeDD, Mem: mem})
+	m := newManager(Config{Mode: ModeDD, Mem: mem})
 	res := RunStress(m, StressOptions{VMs: 2, WorkersPerVM: 2, Ops: 200, Seed: 42})
 
 	if res.Wall != 250*time.Millisecond {

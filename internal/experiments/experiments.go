@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -55,6 +56,15 @@ func (o Opts) scaled(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * o.Stretch)
 }
 
+// scaledCount returns n adjusted by the Stretch factor, rounded and
+// floored at floor.
+func (o Opts) scaledCount(n, floor int) int {
+	if o.Stretch <= 0 {
+		return n
+	}
+	return max(floor, int(math.Round(float64(n)*o.Stretch)))
+}
+
 // Table is one tabular artifact (a paper table, or the numeric legend of
 // a figure).
 type Table struct {
@@ -73,11 +83,58 @@ type Result struct {
 	Series      map[string]*metrics.Series
 	SeriesOrder []string
 	Notes       []string
+	// Metrics are the run's named numbers, flat and machine-readable;
+	// Gates are the bounds on them the run must meet.
+	Metrics map[string]float64
+	Gates   []Gate
 }
+
+// Gate is one condition an experiment declares on its own metrics.
+type Gate struct {
+	Metric string  `json:"metric"`
+	Op     string  `json:"op"` // ">=", ">", "<=" or "=="
+	Bound  float64 `json:"bound"`
+}
+
+// Check evaluates the gate against metrics. A missing metric or an
+// unknown op fails.
+func (g Gate) Check(metrics map[string]float64) (value float64, pass bool) {
+	v, ok := metrics[g.Metric]
+	if !ok {
+		return 0, false
+	}
+	switch g.Op {
+	case ">=":
+		return v, v >= g.Bound
+	case ">":
+		return v, v > g.Bound
+	case "<=":
+		return v, v <= g.Bound
+	case "==":
+		return v, v == g.Bound
+	}
+	return v, false
+}
+
+// String renders the gate as "metric op bound".
+func (g Gate) String() string { return fmt.Sprintf("%s %s %g", g.Metric, g.Op, g.Bound) }
 
 // newResult initializes an empty result.
 func newResult(id, title string) *Result {
-	return &Result{ID: id, Title: title, Series: make(map[string]*metrics.Series)}
+	return &Result{ID: id, Title: title, Series: make(map[string]*metrics.Series),
+		Metrics: make(map[string]float64)}
+}
+
+// addMetrics records each of kv under prefix+name.
+func (r *Result) addMetrics(prefix string, kv map[string]float64) {
+	for k, v := range kv {
+		r.Metrics[prefix+k] = v
+	}
+}
+
+// gate declares a bound the run must meet.
+func (r *Result) gate(metric, op string, bound float64) {
+	r.Gates = append(r.Gates, Gate{Metric: metric, Op: op, Bound: bound})
 }
 
 // addSeries registers a named curve.
@@ -199,13 +256,6 @@ func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 
 // Runner executes one experiment.
 type Runner func(Opts) *Result
-
-// registry maps experiment ids to runners; populated in registry.go.
-var registry = map[string]Runner{}
-
-// Register adds an experiment to the registry (called from init wiring in
-// registry.go; exposed for external extension).
-func Register(id string, r Runner) { registry[id] = r }
 
 // Lookup finds an experiment by id.
 func Lookup(id string) (Runner, bool) {

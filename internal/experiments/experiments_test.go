@@ -127,3 +127,28 @@ func TestDeterministicExperiment(t *testing.T) {
 		t.Fatal("fig5 not deterministic across runs")
 	}
 }
+
+func TestGateCheck(t *testing.T) {
+	m := map[string]float64{"x": 2}
+	for _, tc := range []struct {
+		gate Gate
+		pass bool
+	}{
+		{Gate{"x", ">=", 2}, true},
+		{Gate{"x", ">=", 2.5}, false},
+		{Gate{"x", ">", 2}, false},
+		{Gate{"x", ">", 1}, true},
+		{Gate{"x", "<=", 2}, true},
+		{Gate{"x", "<=", 1}, false},
+		{Gate{"x", "==", 2}, true},
+		{Gate{"x", "==", 0}, false},
+		{Gate{"missing", ">=", 0}, false},
+		{Gate{"missing", "==", 0}, false},
+		{Gate{"x", "!=", 0}, false},
+		{Gate{"x", "", 2}, false},
+	} {
+		if _, pass := tc.gate.Check(m); pass != tc.pass {
+			t.Errorf("%v on x=2: pass %v, want %v", tc.gate, pass, tc.pass)
+		}
+	}
+}

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"strings"
 	"time"
 
 	"doubledecker/internal/cgroup"
@@ -57,9 +58,9 @@ const (
 // phaseLabels names the phases relative to the stall window.
 var phaseLabels = [phaseCount]string{"before stall", "during stall", "after stall"}
 
-// FaultsModeResult summarizes one run of the scenario (healthy or with
+// faultsMode summarizes one run of the scenario (healthy or with
 // the injected stall).
-type FaultsModeResult struct {
+type faultsMode struct {
 	Label string
 	// VM1TickUS / VM2TickUS are each VM's mean per-tick latency in µs,
 	// split by phase relative to the stall window.
@@ -78,22 +79,9 @@ type FaultsModeResult struct {
 	InjectedFaults int64
 }
 
-// FaultsBenchResult pairs the healthy baseline with the faulted run.
-type FaultsBenchResult struct {
-	Healthy FaultsBenchMode
-	Faulted FaultsBenchMode
-	// VM1Impact is VM1's during-stall mean tick latency in the faulted
-	// run divided by the same window in the healthy run — the
-	// noisy-neighbour factor the breaker is meant to bound.
-	VM1Impact float64
-}
-
-// FaultsBenchMode aliases FaultsModeResult for the paired result.
-type FaultsBenchMode = FaultsModeResult
-
 // runFaultsMode executes the two-VM scenario, optionally with the SSD
 // stall plan installed.
-func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
+func runFaultsMode(o Opts, label string, withFaults bool) faultsMode {
 	engine := sim.New(o.Seed)
 	reg := metrics.NewRegistry()
 	stallFrom, stallTo := o.scaled(ftStallFrom), o.scaled(ftStallTo)
@@ -171,7 +159,7 @@ func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 	vm2.Front().FlushTransport(engine.Now())
 	wall := elapsed()
 
-	res := FaultsModeResult{
+	res := faultsMode{
 		Label:          label,
 		Breaker:        host.Manager().SSDBreakerStats(),
 		InjectedFaults: inj.Injected(fault.KindNone),
@@ -198,37 +186,25 @@ func runFaultsMode(o Opts, label string, withFaults bool) FaultsModeResult {
 	return res
 }
 
-// ftCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var ftCache = map[Opts]FaultsBenchResult{}
-
-// FaultsBench runs the scenario healthy and with the injected stall.
-func FaultsBench(o Opts) FaultsBenchResult {
-	if r, ok := ftCache[o]; ok {
-		return r
-	}
-	r := FaultsBenchResult{
-		Healthy: runFaultsMode(o, "healthy", false),
-		Faulted: runFaultsMode(o, "ssd-stall", true),
-	}
-	if r.Healthy.VM1TickUS[phaseDuring] > 0 {
-		r.VM1Impact = r.Faulted.VM1TickUS[phaseDuring] / r.Healthy.VM1TickUS[phaseDuring]
-	}
-	ftCache[o] = r
-	return r
-}
-
 // FaultsExp is the registered "faults" experiment: VM2's SSD pool
 // survives a 10 s device stall, with bounded latency impact on VM1.
 func FaultsExp(o Opts) *Result {
-	b := FaultsBench(o)
+	healthy := runFaultsMode(o, "healthy", false)
+	faulted := runFaultsMode(o, "ssd-stall", true)
+	// vm1Impact is VM1's during-stall mean tick latency in the faulted run
+	// divided by the same window in the healthy run — the
+	// noisy-neighbour factor the breaker is meant to bound.
+	var vm1Impact float64
+	if healthy.VM1TickUS[phaseDuring] > 0 {
+		vm1Impact = faulted.VM1TickUS[phaseDuring] / healthy.VM1TickUS[phaseDuring]
+	}
 	r := newResult("faults", "SSD device stall: circuit-breaker degradation and recovery")
 
 	lat := Table{
 		Title:   "Mean per-tick latency (µs) by phase",
 		Columns: []string{"run", "vm", "before stall", "during stall", "after stall"},
 	}
-	for _, m := range []FaultsModeResult{b.Healthy, b.Faulted} {
+	for _, m := range []faultsMode{healthy, faulted} {
 		lat.Rows = append(lat.Rows,
 			[]string{m.Label, "vm1 (mem)", f1(m.VM1TickUS[phaseBefore]), f1(m.VM1TickUS[phaseDuring]), f1(m.VM1TickUS[phaseAfter])},
 			[]string{m.Label, "vm2 (ssd)", f1(m.VM2TickUS[phaseBefore]), f1(m.VM2TickUS[phaseDuring]), f1(m.VM2TickUS[phaseAfter])},
@@ -240,18 +216,34 @@ func FaultsExp(o Opts) *Result {
 		Title:   "Run summary",
 		Columns: []string{"run", "vm1 hit %", "vm2 hit %", "breaker", "trips", "restores", "injected faults"},
 	}
-	for _, m := range []FaultsModeResult{b.Healthy, b.Faulted} {
+	for _, m := range []faultsMode{healthy, faulted} {
 		sum.Rows = append(sum.Rows, []string{
 			m.Label, f1(m.VM1HitPct), f1(m.VM2HitPct),
 			m.Breaker.State, f0(float64(m.Breaker.Trips)), f0(float64(m.Breaker.Restores)),
 			f0(float64(m.InjectedFaults)),
 		})
+		r.addMetrics(m.Label+".", map[string]float64{
+			"vm1_hit_pct":      m.VM1HitPct,
+			"vm2_hit_pct":      m.VM2HitPct,
+			"ticks":            float64(m.Ticks),
+			"ns_per_tick":      m.WallNSPerTick,
+			"breaker_trips":    float64(m.Breaker.Trips),
+			"breaker_probes":   float64(m.Breaker.Probes),
+			"breaker_restores": float64(m.Breaker.Restores),
+			"injected_faults":  float64(m.InjectedFaults),
+		})
+		for ph, label := range phaseLabels {
+			key := "." + strings.ReplaceAll(label, " ", "_")
+			r.Metrics[m.Label+".vm1_tick_us"+key] = m.VM1TickUS[ph]
+			r.Metrics[m.Label+".vm2_tick_us"+key] = m.VM2TickUS[ph]
+		}
 	}
+	r.Metrics["vm1_impact"] = vm1Impact
 	r.Tables = append(r.Tables, sum)
 
 	r.note("VM2's SSD pool survives the stall: the breaker trips (%d) and restores (%d), puts degrade to memory-or-miss instead of eating the %v device timeout per op",
-		b.Faulted.Breaker.Trips, b.Faulted.Breaker.Restores, ftStallTimeout)
+		faulted.Breaker.Trips, faulted.Breaker.Restores, ftStallTimeout)
 	r.note("VM1 during-stall latency impact: %.2fx the healthy baseline (cleancache contract: every degraded op is a safe drop or miss, never an error surfaced to the guest)",
-		b.VM1Impact)
+		vm1Impact)
 	return r
 }

@@ -67,8 +67,8 @@ func livenessStallPlan(seed int64) fault.Plan {
 	}}
 }
 
-// LivenessModeResult summarizes one of the four runs.
-type LivenessModeResult struct {
+// livenessMode summarizes one of the four runs.
+type livenessMode struct {
 	Label     string
 	Deadlines bool
 	// Gets is the number of guest-observed get resolutions; the
@@ -103,22 +103,8 @@ type LivenessModeResult struct {
 	InjectedFaults int64
 }
 
-// LivenessBenchResult holds the 2×2 run matrix.
-type LivenessBenchResult struct {
-	HealthyOn  LivenessModeResult
-	HealthyOff LivenessModeResult
-	StallOn    LivenessModeResult
-	StallOff   LivenessModeResult
-	// HealthyHitDelta is |healthy-on hit% − healthy-off hit%|: the
-	// deadline machinery's cost on a fault-free run, in points.
-	HealthyHitDelta float64
-	// BudgetUS is the armed per-get budget in µs, the bound the
-	// stall-on run's p99 and max must respect.
-	BudgetUS float64
-}
-
 // runLivenessMode executes the two-VM scenario in one configuration.
-func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessModeResult {
+func runLivenessMode(o Opts, label string, withFaults, deadlines bool) livenessMode {
 	engine := sim.New(o.Seed)
 	reg := metrics.NewRegistry()
 	var inj *fault.Injector
@@ -197,7 +183,7 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 	host.DestroyVM(vm1)
 	host.DestroyVM(vm2)
 
-	res := LivenessModeResult{
+	res := livenessMode{
 		Label:             label,
 		Deadlines:         deadlines,
 		InjectedFaults:    inj.Injected(fault.KindNone),
@@ -228,35 +214,20 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) LivenessM
 	return res
 }
 
-// lvCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var lvCache = map[Opts]LivenessBenchResult{}
-
-// LivenessBench runs the 2×2 matrix: {healthy, stall-heavy} ×
-// {deadlines on, off}.
-func LivenessBench(o Opts) LivenessBenchResult {
-	if r, ok := lvCache[o]; ok {
-		return r
-	}
-	r := LivenessBenchResult{
-		HealthyOn:  runLivenessMode(o, "healthy/deadlines", false, true),
-		HealthyOff: runLivenessMode(o, "healthy/no-deadline", false, false),
-		StallOn:    runLivenessMode(o, "stall/deadlines", true, true),
-		StallOff:   runLivenessMode(o, "stall/no-deadline", true, false),
-		BudgetUS:   float64(lvBudget) / float64(time.Microsecond),
-	}
-	r.HealthyHitDelta = r.HealthyOn.HitPct - r.HealthyOff.HitPct
-	if r.HealthyHitDelta < 0 {
-		r.HealthyHitDelta = -r.HealthyHitDelta
-	}
-	lvCache[o] = r
-	return r
-}
-
 // LivenessExp is the registered "liveness" experiment: bounded guest
 // tail latency under transport chaos with the per-op budget armed.
 func LivenessExp(o Opts) *Result {
-	b := LivenessBench(o)
+	healthyOn := runLivenessMode(o, "healthy/deadlines", false, true)
+	healthyOff := runLivenessMode(o, "healthy/no-deadline", false, false)
+	stallOn := runLivenessMode(o, "stall/deadlines", true, true)
+	stallOff := runLivenessMode(o, "stall/no-deadline", true, false)
+	// healthyHitDelta is the deadline machinery's cost on a fault-free
+	// run, in hit-ratio points.
+	healthyHitDelta := healthyOn.HitPct - healthyOff.HitPct
+	if healthyHitDelta < 0 {
+		healthyHitDelta = -healthyHitDelta
+	}
+	budgetUS := float64(lvBudget) / float64(time.Microsecond)
 	r := newResult("liveness", "Latency-budget liveness: bounded tails under transport chaos")
 
 	lat := Table{
@@ -267,7 +238,7 @@ func LivenessExp(o Opts) *Result {
 		Title:   "Deadline and admission accounting",
 		Columns: []string{"run", "deadline misses", "watchdog fails", "shed gets", "shed ops", "disk fallbacks", "leaks (w/s/p)", "injected faults"},
 	}
-	for _, m := range []LivenessModeResult{b.HealthyOff, b.HealthyOn, b.StallOff, b.StallOn} {
+	for _, m := range []livenessMode{healthyOff, healthyOn, stallOff, stallOn} {
 		lat.Rows = append(lat.Rows, []string{
 			m.Label, f0(float64(m.Gets)), f1(m.GetP50US), f1(m.GetP99US), f1(m.GetMaxUS),
 			f1(m.HitPct), f1(m.MeanTickUS),
@@ -278,14 +249,40 @@ func LivenessExp(o Opts) *Result {
 			f0(float64(m.LeakedWaiters)) + "/" + f0(float64(m.LeakedStaged)) + "/" + f0(float64(m.LeakedPending)),
 			f0(float64(m.InjectedFaults)),
 		})
+		r.addMetrics(m.Label+".", map[string]float64{
+			"gets":               float64(m.Gets),
+			"get_p50_us":         m.GetP50US,
+			"get_p99_us":         m.GetP99US,
+			"get_max_us":         m.GetMaxUS,
+			"hit_pct":            m.HitPct,
+			"mean_tick_us":       m.MeanTickUS,
+			"deadline_misses":    float64(m.DeadlineMisses),
+			"watchdog_fails":     float64(m.WatchdogFails),
+			"shed_gets":          float64(m.ShedGets),
+			"shed_ops":           float64(m.ShedOps),
+			"deadline_fallbacks": float64(m.DeadlineFallbacks),
+			"leaked_waiters":     float64(m.LeakedWaiters),
+			"leaked_staged":      float64(m.LeakedStaged),
+			"leaked_pending":     float64(m.LeakedPending),
+			"injected_faults":    float64(m.InjectedFaults),
+		})
+		// Teardown with work in flight must leave no transport state.
+		for _, leak := range []string{"leaked_waiters", "leaked_staged", "leaked_pending"} {
+			r.gate(m.Label+"."+leak, "==", 0)
+		}
 	}
 	r.Tables = append(r.Tables, lat, sum)
+	r.Metrics["budget_us"] = budgetUS
+	r.Metrics["healthy_hit_delta_points"] = healthyHitDelta
+	r.gate(stallOn.Label+".get_p99_us", "<=", budgetUS)
+	r.gate(stallOn.Label+".get_max_us", "<=", budgetUS)
+	r.gate("healthy_hit_delta_points", "<=", 2)
 
 	r.note("under the stall plan with deadlines armed, p99 get latency is %.0f µs and max %.0f µs against a %.0f µs budget; with deadlines off the same plan drives max to %.0f µs",
-		b.StallOn.GetP99US, b.StallOn.GetMaxUS, b.BudgetUS, b.StallOff.GetMaxUS)
+		stallOn.GetP99US, stallOn.GetMaxUS, budgetUS, stallOff.GetMaxUS)
 	r.note("healthy-baseline cost of the deadline machinery: hit ratio moves %.2f points (%.1f%% -> %.1f%%)",
-		b.HealthyHitDelta, b.HealthyOff.HitPct, b.HealthyOn.HitPct)
+		healthyHitDelta, healthyOff.HitPct, healthyOn.HitPct)
 	r.note("every over-budget crossing fails as a miss (cleancache contract: never an error, never data loss); the guest re-reads from its virtual disk — %d fallbacks under the stall plan, each paying the disk's own queueing instead of an unbounded transport wait",
-		b.StallOn.DeadlineFallbacks)
+		stallOn.DeadlineFallbacks)
 	return r
 }

@@ -2,7 +2,7 @@
 // the pipelined read path on (stock defaults: async tagged gets,
 // zero-copy bulk responses, readahead window) vs off (synchronous
 // probe-per-block — the pre-pipeline guest). Unlike the transport-level
-// readpath bench in cmd/ddbench, the traffic here flows through the full
+// readpath-transport experiment, the traffic here flows through the full
 // guest stack — pagecache.Cache.Read issuing Front.GetAsync handles over
 // each VM's hypercall transport — on the paper's Table 2 / Fig 7
 // read-heavy profile shape (~89% reads).
@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"doubledecker/internal/cgroup"
@@ -43,7 +44,7 @@ const (
 	rpMeasure      = 2 * time.Second
 )
 
-// rpGuestCounts is the guest sweep; the CI gate reads the 8-guest row.
+// rpGuestCounts is the guest sweep; the gate reads the 8-guest row.
 var rpGuestCounts = []int{1, 4, 8}
 
 // rpProfile is the per-container closed-loop workload.
@@ -88,8 +89,8 @@ func (p *rpProfile) Step(now time.Duration, c *guest.Container, _ int) (time.Dur
 	return lat, rpBurstBlocks * fsmodel.BlockSize
 }
 
-// ReadPathE2EMode summarizes one (pipeline, guest count) run.
-type ReadPathE2EMode struct {
+// readPathMode summarizes one (pipeline, guest count) run.
+type readPathMode struct {
 	Label  string
 	Guests int
 	// ReadBlocksPerSec is the aggregate guest-observed read throughput
@@ -113,28 +114,18 @@ type ReadPathE2EMode struct {
 	DiskReads     int64
 }
 
-// ReadPathE2EResult pairs the pipeline-on and -off sweeps.
-type ReadPathE2EResult struct {
-	GuestCounts []int
-	On          []ReadPathE2EMode
-	Off         []ReadPathE2EMode
-	// Speedup maps guest count → on/off guest-observed read throughput.
-	Speedup map[int]float64
-}
-
-// runReadPathE2EMode runs one full-stack configuration.
-func runReadPathE2EMode(o Opts, guests int, pipeline bool) ReadPathE2EMode {
+// runReadPathMode runs one full-stack configuration.
+func runReadPathMode(o Opts, guests int, pipeline bool) readPathMode {
 	engine := sim.New(o.Seed + int64(guests))
-	hopts := []hypervisor.Option{
-		hypervisor.WithMode(ddcache.ModeDD),
-		hypervisor.WithMemCache(int64(guests) * rpHostMemMiB * MiB),
-	}
+	host := hypervisor.New(engine, hypervisor.Config{
+		Mode:          ddcache.ModeDD,
+		MemCacheBytes: int64(guests) * rpHostMemMiB * MiB,
+		NoPipeline:    !pipeline,
+	})
 	label := "pipeline-on"
 	if !pipeline {
 		label = "pipeline-off"
-		hopts = append(hopts, hypervisor.WithoutPipeline())
 	}
-	host := hypervisor.NewHost(engine, hopts...)
 
 	type vmState struct {
 		vm      *guest.VM
@@ -175,7 +166,7 @@ func runReadPathE2EMode(o Opts, guests int, pipeline bool) ReadPathE2EMode {
 	engine.Run(startAt + o.scaled(rpMeasure))
 	window := engine.Now() - startAt
 
-	res := ReadPathE2EMode{Label: label, Guests: guests}
+	res := readPathMode{Label: label, Guests: guests}
 	var readDelta, writeDelta int64
 	var misses, ccHits int64
 	for i, s := range vms {
@@ -208,33 +199,9 @@ func runReadPathE2EMode(o Opts, guests int, pipeline bool) ReadPathE2EMode {
 	return res
 }
 
-// rpCache memoizes sweeps so the registered experiment and ddbench's
-// JSON emission share them.
-var rpCache = map[Opts]ReadPathE2EResult{}
-
-// ReadPathE2EBench runs the guest sweep under both configurations.
-func ReadPathE2EBench(o Opts) ReadPathE2EResult {
-	if r, ok := rpCache[o]; ok {
-		return r
-	}
-	r := ReadPathE2EResult{GuestCounts: rpGuestCounts, Speedup: make(map[int]float64)}
-	for _, g := range rpGuestCounts {
-		on := runReadPathE2EMode(o, g, true)
-		off := runReadPathE2EMode(o, g, false)
-		r.On = append(r.On, on)
-		r.Off = append(r.Off, off)
-		if off.ReadBlocksPerSec > 0 {
-			r.Speedup[g] = on.ReadBlocksPerSec / off.ReadBlocksPerSec
-		}
-	}
-	rpCache[o] = r
-	return r
-}
-
 // ReadPathExp is the registered "readpath" experiment: the end-to-end
 // pipelined read path vs the synchronous baseline.
 func ReadPathExp(o Opts) *Result {
-	b := ReadPathE2EBench(o)
 	r := newResult("readpath", "End-to-end pipelined guest read path vs synchronous baseline")
 
 	t := Table{
@@ -242,19 +209,42 @@ func ReadPathExp(o Opts) *Result {
 		Columns: []string{"guests", "mode", "read MiB/s", "read %", "cc hit %",
 			"hypercalls", "async gets", "staged hits", "ra hits", "pages copied", "pages mapped"},
 	}
-	for i, g := range b.GuestCounts {
-		for _, m := range []ReadPathE2EMode{b.Off[i], b.On[i]} {
+	speedup := make(map[int]float64)
+	for _, g := range rpGuestCounts {
+		on := runReadPathMode(o, g, true)
+		off := runReadPathMode(o, g, false)
+		if off.ReadBlocksPerSec > 0 {
+			speedup[g] = on.ReadBlocksPerSec / off.ReadBlocksPerSec
+		}
+		for _, m := range []readPathMode{off, on} {
 			t.Rows = append(t.Rows, []string{
 				f0(float64(g)), m.Label, f1(m.ReadMBPerSec), f1(m.ReadPct), f1(m.CCHitPct),
 				f0(float64(m.Calls)), f0(float64(m.AsyncGets)), f0(float64(m.StagedHits)),
 				f0(float64(m.ReadAheadHits)), f0(float64(m.PagesCopied)), f0(float64(m.PagesMapped)),
 			})
+			r.addMetrics(fmt.Sprintf("%s.%dg.", m.Label, g), map[string]float64{
+				"guests":               float64(g),
+				"read_blocks_per_vsec": m.ReadBlocksPerSec,
+				"read_mib_per_vsec":    m.ReadMBPerSec,
+				"read_pct":             m.ReadPct,
+				"cc_hit_pct":           m.CCHitPct,
+				"hypercalls":           float64(m.Calls),
+				"async_gets":           float64(m.AsyncGets),
+				"staged_hits":          float64(m.StagedHits),
+				"readahead_gets":       float64(m.ReadAheadGets),
+				"readahead_hits":       float64(m.ReadAheadHits),
+				"pages_copied":         float64(m.PagesCopied),
+				"pages_mapped":         float64(m.PagesMapped),
+				"disk_reads":           float64(m.DiskReads),
+			})
 		}
+		r.Metrics[fmt.Sprintf("pipeline_speedup_%dg", g)] = speedup[g]
 	}
 	r.Tables = append(r.Tables, t)
+	r.gate("pipeline_speedup_8g", ">=", 1.5)
 
-	for _, g := range b.GuestCounts {
-		r.note("%d guests: %.2fx guest-observed read throughput with the pipeline on", g, b.Speedup[g])
+	for _, g := range rpGuestCounts {
+		r.note("%d guests: %.2fx guest-observed read throughput with the pipeline on", g, speedup[g])
 	}
 	r.note("steady state is page-cache miss → second-chance hit: the pipeline converts the per-block synchronous crossing (call + page copy) into staged consumption fed by READ_AHEAD, async tagged gets, and zero-copy handover")
 	return r

@@ -2,37 +2,31 @@
 
 package experiments
 
-// defaultRunners lists every reproduced artifact.
-func defaultRunners() map[string]Runner {
-	return map[string]Runner{
-		"fig5":   Fig5,
-		"fig6":   Fig6,
-		"fig7":   Fig7,
-		"table1": Table1,
-		"fig9":   Fig9,
-		"fig10":  Fig10,
-		"table2": Table2,
-		"table3": Table3,
-		"fig11":  Fig11,
-		"fig12":  Fig12,
-		"table4": Table4,
-		"fig13":  Fig13,
-		"fig14":  Fig14,
+// registry lists every reproduced artifact.
+var registry = map[string]Runner{
+	"fig5":   Fig5,
+	"fig6":   Fig6,
+	"fig7":   Fig7,
+	"table1": Table1,
+	"fig9":   Fig9,
+	"fig10":  Fig10,
+	"table2": Table2,
+	"table3": Table3,
+	"fig11":  Fig11,
+	"fig12":  Fig12,
+	"table4": Table4,
+	"fig13":  Fig13,
+	"fig14":  Fig14,
 
-		// Beyond the paper's artifacts: transport batching (ISSUE 2),
-		// fault-injection robustness (ISSUE 4), the end-to-end
-		// pipelined read path (ISSUE 7), latency-budget liveness
-		// (ISSUE 9) and the remote third tier (ISSUE 10).
-		"transport": TransportExp,
-		"faults":    FaultsExp,
-		"readpath":  ReadPathExp,
-		"liveness":  LivenessExp,
-		"tier":      TierExp,
-	}
-}
-
-func init() {
-	for id, r := range defaultRunners() {
-		Register(id, r)
-	}
+	// Beyond the paper's artifacts: transport batching, fault-injection
+	// robustness, the pipelined read path (end to end and at the
+	// transport), latency-budget liveness, the remote third tier and
+	// hot-path scaling under concurrent guests.
+	"transport":          TransportExp,
+	"faults":             FaultsExp,
+	"readpath":           ReadPathExp,
+	"readpath-transport": ReadPathTransportExp,
+	"liveness":           LivenessExp,
+	"tier":               TierExp,
+	"scaling":            ScalingExp,
 }

@@ -5,7 +5,7 @@
 // through the write-behind queue and come back as slow hits with the
 // modeled object-store round trip (and bill) charged. The comparison
 // holds mem+SSD constant, so any hit-ratio gain is the third tier's
-// doing — that gain is the CI gate ddbench applies to this scenario.
+// doing — that gain is the gate this experiment declares.
 
 package experiments
 
@@ -39,8 +39,8 @@ const (
 	tiDuration     = 40 * time.Second
 )
 
-// TierModeResult summarizes one run of the overcommit scenario.
-type TierModeResult struct {
+// tierMode summarizes one run of the overcommit scenario.
+type tierMode struct {
 	Label     string
 	RemoteMiB int64
 	// HitPct is the container pool's hypervisor-cache hit ratio; with the
@@ -62,18 +62,9 @@ type TierModeResult struct {
 	Cost remote.CostStats
 }
 
-// TierBenchResult pairs the remote-off baseline with the remote-on run.
-type TierBenchResult struct {
-	Off TierModeResult
-	On  TierModeResult
-	// HitGain is the remote-on hit ratio minus the remote-off one, in
-	// points. The third tier earns its keep only if this is positive.
-	HitGain float64
-}
-
 // runTierMode executes the overcommit scenario with or without the
 // remote tier; mem and SSD capacities are identical in both modes.
-func runTierMode(o Opts, label string, remoteMiB int64) TierModeResult {
+func runTierMode(o Opts, label string, remoteMiB int64) tierMode {
 	engine := sim.New(o.Seed)
 	host := hypervisor.New(engine, hypervisor.Config{
 		Mode:             ddcache.ModeDD,
@@ -116,7 +107,7 @@ func runTierMode(o Opts, label string, remoteMiB int64) TierModeResult {
 	host.Manager().FlushDemotions(engine.Now())
 	wall := elapsed()
 
-	res := TierModeResult{
+	res := tierMode{
 		Label:         label,
 		RemoteMiB:     remoteMiB,
 		Ticks:         ticks,
@@ -135,29 +126,14 @@ func runTierMode(o Opts, label string, remoteMiB int64) TierModeResult {
 	return res
 }
 
-// tiCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var tiCache = map[Opts]TierBenchResult{}
-
-// TierBench runs the overcommit scenario with the remote tier off and on
-// at identical mem+SSD capacities.
-func TierBench(o Opts) TierBenchResult {
-	if r, ok := tiCache[o]; ok {
-		return r
-	}
-	r := TierBenchResult{
-		Off: runTierMode(o, "remote-off", 0),
-		On:  runTierMode(o, "remote-on", tiRemoteMiB),
-	}
-	r.HitGain = r.On.HitPct - r.Off.HitPct
-	tiCache[o] = r
-	return r
-}
-
 // TierExp is the registered "tier" experiment: capacity overcommit with
 // and without the remote third tier.
 func TierExp(o Opts) *Result {
-	b := TierBench(o)
+	off := runTierMode(o, "remote-off", 0)
+	on := runTierMode(o, "remote-on", tiRemoteMiB)
+	// hitGain is the remote-on hit ratio minus the remote-off one, in
+	// points. The third tier earns its keep only if this is positive.
+	hitGain := on.HitPct - off.HitPct
 	r := newResult("tier", "Remote third tier under capacity overcommit")
 
 	sum := Table{
@@ -165,22 +141,39 @@ func TierExp(o Opts) *Result {
 		Columns: []string{"run", "remote MiB", "hit %", "tick µs",
 			"demoted", "dropped", "cancelled", "pool demotions"},
 	}
-	for _, m := range []TierModeResult{b.Off, b.On} {
+	for _, m := range []tierMode{off, on} {
 		d := m.Demotions
+		dropped := d.DroppedFull + d.DroppedError + d.DroppedBreaker
 		sum.Rows = append(sum.Rows, []string{
 			m.Label, f0(float64(m.RemoteMiB)), f1(m.HitPct), f1(m.TickUS),
-			f0(float64(d.Drained)),
-			f0(float64(d.DroppedFull + d.DroppedError + d.DroppedBreaker)),
+			f0(float64(d.Drained)), f0(float64(dropped)),
 			f0(float64(d.Cancelled)), f0(float64(m.PoolDemotions)),
 		})
+		r.addMetrics(m.Label+".", map[string]float64{
+			"remote_mib":          float64(m.RemoteMiB),
+			"hit_pct":             m.HitPct,
+			"tick_us":             m.TickUS,
+			"ticks":               float64(m.Ticks),
+			"ns_per_tick":         m.WallNSPerTick,
+			"demoted":             float64(d.Drained),
+			"demotions_dropped":   float64(dropped),
+			"demotions_cancelled": float64(d.Cancelled),
+			"remote_requests":     float64(m.Cost.Requests),
+			"remote_bytes":        float64(m.Cost.Bytes),
+			"remote_cost_nanos":   float64(m.Cost.CostNanos),
+			"breaker_trips":       float64(m.Breaker.Trips),
+		})
 	}
+	r.Metrics["hit_gain_points"] = hitGain
+	r.gate("hit_gain_points", ">", 0)
+	r.gate(on.Label+".demoted", ">", 0) // the third tier was exercised at all
 	r.Tables = append(r.Tables, sum)
 
 	bill := Table{
 		Title:   "Modeled object-store bill",
 		Columns: []string{"run", "requests", "MiB moved", "cost m$", "breaker", "trips"},
 	}
-	for _, m := range []TierModeResult{b.Off, b.On} {
+	for _, m := range []tierMode{off, on} {
 		state := "-"
 		if m.RemoteMiB > 0 {
 			state = m.Breaker.State
@@ -193,8 +186,8 @@ func TierExp(o Opts) *Result {
 	r.Tables = append(r.Tables, bill)
 
 	r.note("hit ratio %0.1f%% → %0.1f%% (+%.1f points) from the remote tier at identical mem+SSD; each slow hit paid the modeled round trip instead of a disk read",
-		b.Off.HitPct, b.On.HitPct, b.HitGain)
+		off.HitPct, on.HitPct, hitGain)
 	r.note("write-behind drained %d demotions (%d cancelled by invalidation) at a modeled bill of %d requests / %.1f MiB",
-		b.On.Demotions.Drained, b.On.Demotions.Cancelled, b.On.Cost.Requests, mib(b.On.Cost.Bytes))
+		on.Demotions.Drained, on.Demotions.Cancelled, on.Cost.Requests, mib(on.Cost.Bytes))
 	return r
 }

@@ -33,8 +33,8 @@ const (
 	trDuration      = 20 * time.Second
 )
 
-// TransportModeResult summarizes one transport mode's run.
-type TransportModeResult struct {
+// transportMode summarizes one transport mode's run.
+type transportMode struct {
 	Label        string
 	Calls        int64 // world switches
 	PagesCopied  int64
@@ -48,22 +48,13 @@ type TransportModeResult struct {
 	// OpLatencyNS maps op-code name → mean charged latency in ns.
 	OpLatencyNS map[string]int64
 	// WallNSPerOp is host wall-clock per delivered op (simulator
-	// throughput, not virtual time); excluded from the deterministic
-	// report, used by ddbench's JSON emission.
+	// throughput, not virtual time); a metric only, never in the tables.
 	WallNSPerOp float64
-}
-
-// TransportBenchResult pairs the two modes.
-type TransportBenchResult struct {
-	Batched   TransportModeResult
-	Unbatched TransportModeResult
-	// Reduction is unbatched hypercalls / batched hypercalls.
-	Reduction float64
 }
 
 // runTransportMode replays the sequential-write schedule over one
 // transport configuration.
-func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult {
+func runTransportMode(o Opts, label string, unbatched bool) transportMode {
 	engine := sim.New(o.Seed)
 	reg := metrics.NewRegistry()
 	// NoPipeline on both modes: this experiment isolates batching, so the
@@ -106,7 +97,7 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	wall := elapsed()
 
 	st := host.Transport(1).Stats()
-	res := TransportModeResult{
+	res := transportMode{
 		Label:       label,
 		Calls:       st.Calls,
 		PagesCopied: st.PagesCopied,
@@ -130,30 +121,15 @@ func runTransportMode(o Opts, label string, unbatched bool) TransportModeResult 
 	return res
 }
 
-// trCache memoizes runs so the registered experiment and ddbench's JSON
-// emission share them.
-var trCache = map[Opts]TransportBenchResult{}
-
-// TransportBench runs the scenario under both transports.
-func TransportBench(o Opts) TransportBenchResult {
-	if r, ok := trCache[o]; ok {
-		return r
-	}
-	r := TransportBenchResult{
-		Batched:   runTransportMode(o, "batched", false),
-		Unbatched: runTransportMode(o, "unbatched", true),
-	}
-	if r.Batched.Calls > 0 {
-		r.Reduction = float64(r.Unbatched.Calls) / float64(r.Batched.Calls)
-	}
-	trCache[o] = r
-	return r
-}
-
 // TransportExp is the registered "transport" experiment: hypercall
 // traffic with and without batching at equal hit ratio.
 func TransportExp(o Opts) *Result {
-	b := TransportBench(o)
+	batched := runTransportMode(o, "batched", false)
+	unbatched := runTransportMode(o, "unbatched", true)
+	var reduction float64
+	if batched.Calls > 0 {
+		reduction = float64(unbatched.Calls) / float64(batched.Calls)
+	}
 	r := newResult("transport", "Batched vs unbatched hypercall transport, sequential-write workload")
 
 	traffic := Table{
@@ -161,12 +137,26 @@ func TransportExp(o Opts) *Result {
 		Columns: []string{"transport", "hypercalls", "ops", "hypercalls/op",
 			"pages copied", "batches", "mean batch ops", "hit %"},
 	}
-	for _, m := range []TransportModeResult{b.Unbatched, b.Batched} {
+	for _, m := range []transportMode{unbatched, batched} {
 		traffic.Rows = append(traffic.Rows, []string{
 			m.Label, f0(float64(m.Calls)), f0(float64(m.Ops)), f2(m.CallsPerOp),
 			f0(float64(m.PagesCopied)), f0(float64(m.Batches)), f1(m.MeanBatchOps), f1(m.HitPct),
 		})
+		r.addMetrics(m.Label+".", map[string]float64{
+			"hypercalls":        float64(m.Calls),
+			"ops":               float64(m.Ops),
+			"hypercalls_per_op": m.CallsPerOp,
+			"pages_copied":      float64(m.PagesCopied),
+			"batches":           float64(m.Batches),
+			"mean_batch_ops":    m.MeanBatchOps,
+			"hit_pct":           m.HitPct,
+			"ns_per_op":         m.WallNSPerOp,
+		})
+		for op, ns := range m.OpLatencyNS {
+			r.Metrics[m.Label+".op_latency_ns."+op] = float64(ns)
+		}
 	}
+	r.Metrics["hypercall_reduction"] = reduction
 	r.Tables = append(r.Tables, traffic)
 
 	lat := Table{
@@ -174,8 +164,8 @@ func TransportExp(o Opts) *Result {
 		Columns: []string{"op", "unbatched", "batched"},
 	}
 	for _, op := range cleancache.OpCodes() {
-		ub, okU := b.Unbatched.OpLatencyNS[op.String()]
-		bb, okB := b.Batched.OpLatencyNS[op.String()]
+		ub, okU := unbatched.OpLatencyNS[op.String()]
+		bb, okB := batched.OpLatencyNS[op.String()]
 		if !okU && !okB {
 			continue
 		}
@@ -184,7 +174,7 @@ func TransportExp(o Opts) *Result {
 	r.Tables = append(r.Tables, lat)
 
 	r.note("hypercall reduction: %.1fx fewer world switches with batching (%d → %d) at equal hit ratio (%.1f%% vs %.1f%%)",
-		b.Reduction, b.Unbatched.Calls, b.Batched.Calls, b.Unbatched.HitPct, b.Batched.HitPct)
+		reduction, unbatched.Calls, batched.Calls, unbatched.HitPct, batched.HitPct)
 	r.note("gets and control ops stay synchronous and drain the ring first, so the backend observes the unbatched op order; puts/flushes amortize one world switch across up to 512 ops / 2 MiB of pages")
 	return r
 }

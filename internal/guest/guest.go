@@ -25,10 +25,6 @@ import (
 const DefaultReadAheadWindow = 32
 
 // Config parameterizes a VM.
-//
-// Deprecated knob growth: new VM knobs are added as functional options
-// only (see NewVM and the With* options); the struct fields remain as
-// shims for existing call sites.
 type Config struct {
 	ID       cleancache.VMID
 	MemBytes int64

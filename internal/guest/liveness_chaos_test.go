@@ -110,10 +110,10 @@ func runChaosLiveness(t *testing.T, plan fault.Plan, deadlines, mustBite bool) {
 	if warnings, err := plan.Validate(); err != nil || len(warnings) != 0 {
 		t.Fatalf("chaos plan invalid: err=%v warnings=%v", err, warnings)
 	}
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)),
+	)
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem})
 
@@ -145,15 +145,11 @@ func runChaosLiveness(t *testing.T, plan fault.Plan, deadlines, mustBite bool) {
 		tr := hypercall.NewTransport(tee, topts)
 		front := cleancache.NewFront(id, tr)
 		engine := sim.New(int64(7100 + v))
-		vmOpts := []guest.Option{
-			guest.WithID(id),
-			guest.WithMemBytes(80 << 20),
-			guest.WithReadAheadWindow(window),
-		}
+		cfg := guest.Config{ID: id, MemBytes: 80 << 20, ReadAheadWindow: window}
 		if deadlines {
-			vmOpts = append(vmOpts, guest.WithWatchdogPeriod(chaosBudget/2))
+			cfg.WatchdogPeriod = chaosBudget / 2
 		}
-		vm := guest.NewVM(engine, front, vmOpts...)
+		vm := guest.New(engine, cfg, front)
 		c := vm.NewContainer("chaos", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 		s := &guestState{
 			engine: engine, vm: vm, c: c, tee: tee, tr: tr,
@@ -276,10 +272,10 @@ func runChaosLiveness(t *testing.T, plan fault.Plan, deadlines, mustBite bool) {
 // released — verified differentially against the oracle.
 func TestTeardownWithOutstandingAsyncWork(t *testing.T) {
 	const memCap = int64(32 << 20)
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)),
+	)
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem})
 
@@ -292,12 +288,12 @@ func TestTeardownWithOutstandingAsyncWork(t *testing.T) {
 	})
 	front := cleancache.NewFront(id, tr)
 	engine := sim.New(4242)
-	vm := guest.NewVM(engine, front,
-		guest.WithID(id),
-		guest.WithMemBytes(80<<20),
-		guest.WithReadAheadWindow(8),
-		guest.WithWatchdogPeriod(chaosBudget/2),
-	)
+	vm := guest.New(engine, guest.Config{
+		ID:              id,
+		MemBytes:        80 << 20,
+		ReadAheadWindow: 8,
+		WatchdogPeriod:  chaosBudget / 2,
+	}, front)
 	c := vm.NewContainer("td", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 	pool := cleancache.PoolID(c.Group().PoolID())
 	f := vm.Allocator().Alloc(256)

@@ -74,10 +74,10 @@ func runGuestReadPathDifferential(t *testing.T, pipeline bool) {
 		stepEvery  = time.Millisecond
 		runFor     = 400 * time.Millisecond
 	)
-	mgr := ddcache.NewManager(ddcache.Config{
-		Mode: ddcache.ModeDD,
-		Mem:  store.NewMem(blockdev.NewRAM("m.ram"), memCap),
-	})
+	mgr := ddcache.New(
+		ddcache.WithMode(ddcache.ModeDD),
+		ddcache.WithMemBackend(store.NewMem(blockdev.NewRAM("m.ram"), memCap)),
+	)
 	oMem := store.NewMem(blockdev.NewRAM("o.ram"), memCap)
 	orc := oracle.New(oracle.Config{Mode: oracle.ModeDD, Mem: oMem})
 
@@ -110,14 +110,11 @@ func runGuestReadPathDifferential(t *testing.T, pipeline bool) {
 		tr := hypercall.NewTransport(tee, topts)
 		front := cleancache.NewFront(id, tr)
 		engine := sim.New(int64(9000 + v))
-		vmOpts := []guest.Option{
-			guest.WithID(id),
-			guest.WithMemBytes(80 << 20), // 64 MiB kernel reserve + 16 MiB cache
-		}
+		cfg := guest.Config{ID: id, MemBytes: 80 << 20} // 64 MiB kernel reserve + 16 MiB cache
 		if pipeline {
-			vmOpts = append(vmOpts, guest.WithReadAheadWindow(window))
+			cfg.ReadAheadWindow = window
 		}
-		vm := guest.NewVM(engine, front, vmOpts...)
+		vm := guest.New(engine, cfg, front)
 		c := vm.NewContainer("rp", 1<<20, cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 100})
 		s := &guestState{
 			engine: engine, vm: vm, c: c, tee: tee, tr: tr,

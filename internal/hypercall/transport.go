@@ -233,14 +233,6 @@ func newTransportMetrics(reg *metrics.Registry, prefix string) *transportMetrics
 	return m
 }
 
-// PendingGet is the handle to one in-flight asynchronous get: created by
-// SubmitAsync, completed when the crossing carrying its tagged frame
-// drains (or is abandoned), redeemed with Await. The type lives in
-// cleancache (it is part of the AsyncTransport capability contract);
-// this alias keeps the historical hypercall name working. All handle
-// state is guarded by the owning transport's mu.
-type PendingGet = cleancache.PendingGet
-
 // Transport is the batched, pipelined hypercall path from one VM to the
 // hypervisor cache manager. It implements cleancache.Transport.
 //
@@ -302,11 +294,11 @@ type Transport struct {
 	// waiters whose frames are still in the ring: the next drain releases
 	// each slot without dispatching — dispatching would extract the block
 	// under the exclusive protocol with nobody left to consume it.
-	nextTag     uint64                    // ddlint:guarded-by mu
-	waiters     map[uint64]*PendingGet    // ddlint:guarded-by mu
-	waiterKeys  map[uint64]cleancache.Key // ddlint:guarded-by mu
-	cancelled   map[uint64]struct{}       // ddlint:guarded-by mu
-	completions []byte                    // ddlint:guarded-by mu
+	nextTag     uint64                            // ddlint:guarded-by mu
+	waiters     map[uint64]*cleancache.PendingGet // ddlint:guarded-by mu
+	waiterKeys  map[uint64]cleancache.Key         // ddlint:guarded-by mu
+	cancelled   map[uint64]struct{}               // ddlint:guarded-by mu
+	completions []byte                            // ddlint:guarded-by mu
 
 	// Staging buffer: readahead-filled blocks and the virtual time their
 	// fill completes. stagedOrder is the FIFO eviction queue (lazily
@@ -395,7 +387,7 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 		maxInflight: opts.MaxInflightGets,
 		maxQueued:   opts.MaxQueuedOps,
 		nextTag:     1, // tag 0 is the "no tag" sentinel on untagged handles
-		waiters:     make(map[uint64]*PendingGet),
+		waiters:     make(map[uint64]*cleancache.PendingGet),
 		waiterKeys:  make(map[uint64]cleancache.Key),
 		cancelled:   make(map[uint64]struct{}),
 		staged:      make(map[cleancache.Key]time.Duration),
@@ -601,7 +593,7 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 // get's completion time. Ops other than get, and transports without
 // AsyncGets, fall back to the synchronous Submit and return an
 // already-completed handle.
-func (t *Transport) SubmitAsync(now time.Duration, req cleancache.Request) (*PendingGet, time.Duration) {
+func (t *Transport) SubmitAsync(now time.Duration, req cleancache.Request) (*cleancache.PendingGet, time.Duration) {
 	if req.Op != cleancache.OpGet || !t.asyncGets {
 		resp := t.Submit(now, req)
 		return cleancache.CompletedPendingGet(resp, now+resp.Latency), resp.Latency
@@ -615,7 +607,7 @@ func (t *Transport) SubmitAsync(now time.Duration, req cleancache.Request) (*Pen
 // time) until pg completes, forcing a ring drain if the completion is
 // still in flight. The returned Latency is the wait remaining from now;
 // a get whose completion already landed in the past costs nothing more.
-func (t *Transport) Await(now time.Duration, pg *PendingGet) cleancache.Response {
+func (t *Transport) Await(now time.Duration, pg *cleancache.PendingGet) cleancache.Response {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var lat time.Duration
@@ -630,7 +622,7 @@ func (t *Transport) Await(now time.Duration, pg *PendingGet) cleancache.Response
 // Returns the pending handle and the submission latency charged now.
 //
 // ddlint:requires-lock mu
-func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) (*PendingGet, time.Duration) {
+func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) (*cleancache.PendingGet, time.Duration) {
 	if wait, hit := t.consumeStagedLocked(now, req.Key); hit {
 		return t.armDeadline(now, cleancache.ReadyPendingGet(true, now+wait)), 0
 	}
@@ -682,7 +674,7 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 // time (a no-op without a configured budget), so Resolve clamps an
 // over-budget resolution to a miss even for handles that never entered
 // the waiter table.
-func (t *Transport) armDeadline(now time.Duration, pg *PendingGet) *PendingGet {
+func (t *Transport) armDeadline(now time.Duration, pg *cleancache.PendingGet) *cleancache.PendingGet {
 	if t.opBudget > 0 {
 		pg.SetDeadline(now + t.opBudget)
 	}
@@ -699,7 +691,7 @@ func (t *Transport) armDeadline(now time.Duration, pg *PendingGet) *PendingGet {
 // remaining from now, and accounting happens only on the first.
 //
 // ddlint:requires-lock mu
-func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *PendingGet) cleancache.Response {
+func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *cleancache.PendingGet) cleancache.Response {
 	preExpired := pg.DeadlineExceeded() // watchdog fails were counted at the sweep
 	resp, first := pg.Resolve(now, submitLat)
 	if !first {

@@ -69,7 +69,7 @@ func TestAsyncGetsShareOneCrossing(t *testing.T) {
 	tr.Flush(0)
 
 	callsBefore := tr.Stats().Calls
-	var pending []*PendingGet
+	var pending []*cleancache.PendingGet
 	for b := int64(0); b < 4; b++ {
 		pg, lat := tr.SubmitAsync(0, get(pool, 1, b))
 		if lat != 0 {

@@ -72,7 +72,7 @@ func TestWatchdogFailsOverdueWaitersAndReleasesRingSlots(t *testing.T) {
 
 	// Three async gets ride the ring, never drained: their completions
 	// are stuck in flight past the budget.
-	var pending []*PendingGet
+	var pending []*cleancache.PendingGet
 	for b := int64(0); b < 3; b++ {
 		pg, _ := tr.SubmitAsync(0, get(pool, 1, b))
 		pending = append(pending, pg)
@@ -221,7 +221,7 @@ func TestInflightCapShedsAsyncGets(t *testing.T) {
 	}
 	tr.Flush(0)
 
-	var handles []*PendingGet
+	var handles []*cleancache.PendingGet
 	for b := int64(0); b < 4; b++ {
 		pg, _ := tr.SubmitAsync(0, get(pool, 1, b))
 		handles = append(handles, pg)
@@ -282,7 +282,7 @@ func TestCloseFailsOutstandingWorkAndEmptiesTables(t *testing.T) {
 	}
 	tr.Flush(0)
 	tr.Submit(0, readAhead(pool, 1, 4, 4))
-	var handles []*PendingGet
+	var handles []*cleancache.PendingGet
 	for b := int64(0); b < 2; b++ {
 		pg, _ := tr.SubmitAsync(0, get(pool, 1, b))
 		handles = append(handles, pg)

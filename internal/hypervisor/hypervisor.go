@@ -170,21 +170,21 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		wdog:       cfg.WatchdogPeriod,
 		transports: make(map[cleancache.VMID]*hypercall.Transport),
 	}
-	mcfg := ddcache.Config{
-		Mode:            cfg.Mode,
-		EvictBatchBytes: cfg.EvictBatchBytes,
-		VictimSelector:  cfg.VictimSelector,
-		Metrics:         cfg.Metrics,
-		Breaker:         cfg.Breaker,
-		RemoteBreaker:   cfg.RemoteBreaker,
-		Demotion:        cfg.Demotion,
-		MaxInflightOps:  cfg.MaxInflightOps,
+	mopts := []ddcache.Option{
+		ddcache.WithMode(cfg.Mode),
+		ddcache.WithEvictBatch(cfg.EvictBatchBytes),
+		ddcache.WithVictimSelector(cfg.VictimSelector),
+		ddcache.WithMetrics(cfg.Metrics),
+		ddcache.WithSSDBreaker(cfg.Breaker),
+		ddcache.WithRemoteBreaker(cfg.RemoteBreaker),
+		ddcache.WithDemotion(cfg.Demotion),
+		ddcache.WithMaxInflightOps(cfg.MaxInflightOps),
 	}
 	if cfg.MemCacheBytes > 0 {
-		mcfg.Mem = store.NewMem(h.ram, cfg.MemCacheBytes)
+		mopts = append(mopts, ddcache.WithMemBackend(store.NewMem(h.ram, cfg.MemCacheBytes)))
 	}
 	if cfg.SSDCacheBytes > 0 {
-		mcfg.SSD = store.NewSSD(h.ssd, cfg.SSDCacheBytes)
+		mopts = append(mopts, ddcache.WithSSDBackend(store.NewSSD(h.ssd, cfg.SSDCacheBytes)))
 	}
 	if cfg.RemoteCacheBytes > 0 {
 		rcfg := cfg.Remote
@@ -192,9 +192,9 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		rcfg.Faults = cfg.Faults
 		rcfg.Metrics = cfg.Metrics
 		h.remote = remote.New(rcfg)
-		mcfg.Remote = h.remote
+		mopts = append(mopts, ddcache.WithRemoteBackend(h.remote))
 	}
-	h.manager = ddcache.NewManager(mcfg)
+	h.manager = ddcache.New(mopts...)
 	return h
 }
 
