@@ -305,12 +305,12 @@ func simulate(cfg Config, out *os.File) error {
 		}
 	}
 	if dc := cfg.Deadlines; dc != nil {
-		hcfg.OpBudget = time.Duration(dc.BudgetMicros) * time.Microsecond
+		hcfg.Transport.OpBudget = time.Duration(dc.BudgetMicros) * time.Microsecond
 		hcfg.WatchdogPeriod = time.Duration(dc.WatchdogPeriodMicros) * time.Microsecond
 	}
 	if lc := cfg.Limits; lc != nil {
-		hcfg.MaxInflightGets = lc.MaxInflightGets
-		hcfg.MaxQueuedOps = lc.MaxQueuedOps
+		hcfg.Transport.MaxInflightGets = lc.MaxInflightGets
+		hcfg.Transport.MaxQueuedOps = lc.MaxQueuedOps
 		hcfg.MaxInflightOps = lc.MaxInflightOps
 	}
 	var inj *fault.Injector

@@ -96,7 +96,6 @@ import (
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/index"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/store"
 )
@@ -164,10 +163,6 @@ type Config struct {
 	// duplicate copies — the wasteful design the paper's §2 argues
 	// against. For the ablation benchmark only.
 	Inclusive bool
-	// Metrics receives the SSD circuit breaker's trip/probe/restore
-	// events, the epoch.*/shard.* gauges, and the breaker state gauge;
-	// nil disables recording.
-	Metrics *metrics.Registry
 	// Breaker tunes the SSD circuit breaker; the zero value selects the
 	// defaults documented on BreakerConfig. The breaker exists whenever
 	// an SSD store is configured.
@@ -329,10 +324,10 @@ func newManager(cfg Config) *Manager {
 	}
 	m.epoch.Store(emptyEpoch())
 	if cfg.SSD != nil {
-		m.ssdBreaker = newBreaker(cfg.Breaker, cfg.Metrics, "breaker.ssd")
+		m.ssdBreaker = newBreaker(cfg.Breaker)
 	}
 	if cfg.Remote != nil {
-		m.remoteBreaker = newBreaker(cfg.RemoteBreaker, cfg.Metrics, "breaker.remote")
+		m.remoteBreaker = newBreaker(cfg.RemoteBreaker)
 		if m.cfg.Mode == ModeDD {
 			m.demote = newDemoteQueue(m.cfg.Demotion)
 		}

@@ -114,19 +114,6 @@ func (t *dedupTable) release(ck contentKey) (last bool) {
 // savedBytes reports the cumulative physical bytes avoided by sharing.
 func (t *dedupTable) savedBytes() int64 { return t.saved.Value() }
 
-// entries counts live reference-count records across all shards (cold
-// path: walks every shard under its lock).
-func (t *dedupTable) entries() int64 {
-	var n int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += int64(len(s.refs))
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // minRef returns the smallest reference count in the table (and true),
 // or (0, false) when the table is empty. Test/invariant hook: counts
 // must never go non-positive.

@@ -252,24 +252,8 @@ func (m *Manager) mutateEpoch(mutate func(b *epochBuilder)) *epoch {
 		mutate(b)
 	}
 	ep := b.build(m, prev.seq+1)
-	m.publishEpoch(ep)
-	return ep
-}
-
-// publishEpoch atomically installs ep as the current epoch and records
-// the epoch.* / shard.* observability gauges.
-//
-// ddlint:requires-lock configMu
-func (m *Manager) publishEpoch(ep *epoch) {
 	m.epoch.Store(ep)
-	if reg := m.cfg.Metrics; reg != nil {
-		reg.Counter("epoch.swaps").Inc()
-		reg.Gauge("epoch.seq").Set(int64(ep.seq))
-		reg.Gauge("epoch.vms").Set(int64(len(ep.vms)))
-		reg.Gauge("epoch.pools").Set(int64(len(ep.pools)))
-		reg.Gauge("shard.dedup.shards").Set(int64(len(m.dedup.shards)))
-		reg.Gauge("shard.dedup.entries").Set(m.dedup.entries())
-	}
+	return ep
 }
 
 // emptyEpoch is the epoch published at construction time.

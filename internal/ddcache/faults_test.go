@@ -10,15 +10,14 @@ import (
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/fault"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/store"
 )
 
 // faultyMgr builds a manager whose SSD device runs under the given fault
 // plan. The SSD device is named "fssd", so plans target "fssd.read" /
 // "fssd.write". memCap <= 0 disables the memory store.
-func faultyMgr(plan fault.Plan, memCap, ssdCap int64, bc BreakerConfig, reg *metrics.Registry) *Manager {
-	cfg := Config{Mode: ModeDD, Breaker: bc, Metrics: reg}
+func faultyMgr(plan fault.Plan, memCap, ssdCap int64, bc BreakerConfig) *Manager {
+	cfg := Config{Mode: ModeDD, Breaker: bc}
 	if memCap > 0 {
 		cfg.Mem = store.NewMem(blockdev.NewRAM("fram"), memCap)
 	}
@@ -31,7 +30,7 @@ func TestFailedSSDPutDropsObject(t *testing.T) {
 	plan := fault.Plan{Rules: []fault.Rule{
 		{Site: "fssd.write", Kind: fault.KindIOError, Prob: 1},
 	}}
-	m := faultyMgr(plan, 0, 8<<20, BreakerConfig{}, nil)
+	m := faultyMgr(plan, 0, 8<<20, BreakerConfig{})
 	m.RegisterVM(1, 100)
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
@@ -55,7 +54,7 @@ func TestFailedSSDGetInvalidatesEntry(t *testing.T) {
 	plan := fault.Plan{Rules: []fault.Rule{
 		{Site: "fssd.read", Kind: fault.KindIOError, Prob: 1},
 	}}
-	m := faultyMgr(plan, 0, 8<<20, BreakerConfig{}, nil)
+	m := faultyMgr(plan, 0, 8<<20, BreakerConfig{})
 	m.RegisterVM(1, 100)
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
@@ -89,8 +88,7 @@ func TestBreakerTripsAndFallsBackToMem(t *testing.T) {
 		{Site: "fssd.write", Kind: fault.KindIOError, Prob: 1, To: 2 * time.Second},
 	}}
 	bc := BreakerConfig{Threshold: 3, Window: time.Second, Cooldown: time.Second, Probes: 2}
-	reg := metrics.NewRegistry()
-	m := faultyMgr(plan, 8<<20, 8<<20, bc, reg)
+	m := faultyMgr(plan, 8<<20, 8<<20, bc)
 	m.RegisterVM(1, 100)
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
@@ -132,11 +130,8 @@ func TestBreakerTripsAndFallsBackToMem(t *testing.T) {
 	if n := m.StoreUsedBytes(cgroup.StoreSSD); n != 2*ObjectSize {
 		t.Fatalf("recovered SSD holds %d bytes, want %d", n, 2*ObjectSize)
 	}
-	if reg.Counter("breaker.ssd.trip").Value() != 1 ||
-		reg.Counter("breaker.ssd.restore").Value() != 1 {
-		t.Fatalf("breaker events not exported: trip=%d restore=%d",
-			reg.Counter("breaker.ssd.trip").Value(),
-			reg.Counter("breaker.ssd.restore").Value())
+	if s := m.SSDBreakerStats(); s.Trips != 1 || s.Restores != 1 {
+		t.Fatalf("breaker events: trips=%d restores=%d, want 1 and 1", s.Trips, s.Restores)
 	}
 }
 
@@ -146,7 +141,7 @@ func TestBreakerOpenGetMissesWithoutInvalidate(t *testing.T) {
 	}}
 	// Threshold 1: the first failed fetch trips the breaker.
 	bc := BreakerConfig{Threshold: 1, Window: time.Second, Cooldown: 10 * time.Second, Probes: 1}
-	m := faultyMgr(plan, 0, 8<<20, bc, nil)
+	m := faultyMgr(plan, 0, 8<<20, bc)
 	m.RegisterVM(1, 100)
 	pool, _ := m.CreatePool(0, 1, "p", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 100})
 
@@ -184,7 +179,7 @@ func TestTeardownUnderFaults(t *testing.T) {
 	plan := fault.Plan{Rules: []fault.Rule{
 		{Site: "fssd.*", Kind: fault.KindIOError, Prob: 1, From: time.Second},
 	}}
-	m := faultyMgr(plan, 8<<20, 8<<20, BreakerConfig{}, nil)
+	m := faultyMgr(plan, 8<<20, 8<<20, BreakerConfig{})
 	m.RegisterVM(1, 100)
 	mp, _ := m.CreatePool(0, 1, "mem", cgroup.HCacheSpec{Store: cgroup.StoreMem, Weight: 50})
 	sp, _ := m.CreatePool(0, 1, "ssd", cgroup.HCacheSpec{Store: cgroup.StoreSSD, Weight: 50})
@@ -243,13 +238,11 @@ func TestChaosFaultPlan(t *testing.T) {
 		{Site: "chaos-ssd.read", Kind: fault.KindLatency, Prob: 0.05, Delay: 200 * time.Microsecond},
 	}}
 	inj := fault.New(plan)
-	reg := metrics.NewRegistry()
 	m := newManager(Config{
 		Mode:    ModeDD,
 		Mem:     store.NewMem(blockdev.NewRAM("chaos-ram"), 8<<20),
 		SSD:     store.NewSSD(blockdev.NewSSD("chaos-ssd", blockdev.WithFaults(inj)), 8<<20),
 		Breaker: BreakerConfig{Threshold: 8, Window: time.Second, Cooldown: time.Second, Probes: 2},
-		Metrics: reg,
 	})
 
 	vms := 4

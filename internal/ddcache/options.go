@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"doubledecker/internal/blockdev"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/store"
 	"doubledecker/internal/store/remote"
@@ -89,10 +88,6 @@ func WithDedupShards(n int) Option { return func(c *Config) { c.DedupShards = n 
 
 // WithInclusive disables the exclusive-caching protocol (ablation only).
 func WithInclusive(on bool) Option { return func(c *Config) { c.Inclusive = on } }
-
-// WithMetrics installs a registry for the SSD breaker's trip/probe/restore
-// events and state gauge.
-func WithMetrics(reg *metrics.Registry) Option { return func(c *Config) { c.Metrics = reg } }
 
 // WithSSDBreaker tunes the SSD circuit breaker (threshold, window,
 // cooldown, probe count); the zero value keeps the defaults.

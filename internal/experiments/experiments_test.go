@@ -152,3 +152,49 @@ func TestGateCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsDerivedMetricsPinned pins the metrics the transport and
+// liveness experiments derive from TransportStats and the transport
+// latency sink, at the ddbench -quick setting (seed 42), to their
+// recorded values: a drift in how they are derived must fail here, not
+// ship as a silently different BENCH file.
+func TestStatsDerivedMetricsPinned(t *testing.T) {
+	want := map[string]float64{
+		"batched.mean_batch_ops":                213.67741935483872,
+		"unbatched.mean_batch_ops":              0,
+		"batched.op_latency_ns.GET":             12030,
+		"batched.op_latency_ns.PUT":             10631,
+		"batched.op_latency_ns.FLUSH_PAGE":      519,
+		"batched.op_latency_ns.CREATE_CGROUP":   2100,
+		"unbatched.op_latency_ns.GET":           18195,
+		"unbatched.op_latency_ns.PUT":           69609,
+		"unbatched.op_latency_ns.FLUSH_PAGE":    2100,
+		"unbatched.op_latency_ns.CREATE_CGROUP": 2100,
+	}
+	check := func(id string, got map[string]float64) {
+		t.Helper()
+		for name, w := range want {
+			v, ok := got[name]
+			if !ok {
+				t.Errorf("%s: metric %s missing", id, name)
+			} else if v != w {
+				t.Errorf("%s: %s = %v, want %v", id, name, v, w)
+			}
+		}
+	}
+	check("transport", TransportExp(QuickOpts()).Metrics)
+
+	want = map[string]float64{}
+	for run, pcts := range map[string][3]float64{
+		"stall/deadlines":     {0.001, 5000, 5000},
+		"stall/no-deadline":   {0.001, 18329.807, 22315.79},
+		"healthy/deadlines":   {0.001, 100, 2486.15},
+		"healthy/no-deadline": {0.001, 100, 3161.71},
+	} {
+		want[run+".gets"] = 14080
+		want[run+".get_p50_us"] = pcts[0]
+		want[run+".get_p99_us"] = pcts[1]
+		want[run+".get_max_us"] = pcts[2]
+	}
+	check("liveness", LivenessExp(QuickOpts()).Metrics)
+}

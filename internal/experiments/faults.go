@@ -19,7 +19,6 @@ import (
 	"doubledecker/internal/fsmodel"
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypervisor"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
 	"doubledecker/internal/wallclock"
 )
@@ -83,7 +82,6 @@ type faultsMode struct {
 // stall plan installed.
 func runFaultsMode(o Opts, label string, withFaults bool) faultsMode {
 	engine := sim.New(o.Seed)
-	reg := metrics.NewRegistry()
 	stallFrom, stallTo := o.scaled(ftStallFrom), o.scaled(ftStallTo)
 	var inj *fault.Injector
 	if withFaults {
@@ -94,7 +92,6 @@ func runFaultsMode(o Opts, label string, withFaults bool) faultsMode {
 	host := hypervisor.New(engine, hypervisor.Config{
 		MemCacheBytes: ftMemCacheMiB * MiB,
 		SSDCacheBytes: ftSSDCacheMiB * MiB,
-		Metrics:       reg,
 		Faults:        inj,
 		Breaker: ddcache.BreakerConfig{
 			Threshold: 5,

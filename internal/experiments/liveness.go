@@ -22,7 +22,6 @@ import (
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypercall"
 	"doubledecker/internal/hypervisor"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
 )
 
@@ -106,18 +105,20 @@ type livenessMode struct {
 // runLivenessMode executes the two-VM scenario in one configuration.
 func runLivenessMode(o Opts, label string, withFaults, deadlines bool) livenessMode {
 	engine := sim.New(o.Seed)
-	reg := metrics.NewRegistry()
+	lat := hypercall.NewOpLatency()
 	var inj *fault.Injector
 	if withFaults {
 		inj = fault.New(livenessStallPlan(o.Seed))
 	}
 	cfg := hypervisor.Config{
-		MemCacheBytes:   lvMemCacheMiB * MiB,
-		SSDCacheBytes:   lvSSDCacheMiB * MiB,
-		Metrics:         reg,
-		Faults:          inj,
-		MaxInflightGets: lvInflightGets,
-		MaxQueuedOps:    lvQueuedOps,
+		MemCacheBytes: lvMemCacheMiB * MiB,
+		SSDCacheBytes: lvSSDCacheMiB * MiB,
+		Faults:        inj,
+		Transport: hypercall.Options{
+			Latency:         lat,
+			MaxInflightGets: lvInflightGets,
+			MaxQueuedOps:    lvQueuedOps,
+		},
 		// SSD-class guest disks: deadline fallbacks re-read from the
 		// VM's virtual disk, and the open-loop drivers would swamp the
 		// default HDD model's ~8 ms/op service rate under the stall
@@ -128,7 +129,7 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) livenessM
 		},
 	}
 	if deadlines {
-		cfg.OpBudget = lvBudget
+		cfg.Transport.OpBudget = lvBudget
 		cfg.WatchdogPeriod = lvBudget / 2
 	}
 	host := hypervisor.New(engine, cfg)
@@ -196,7 +197,7 @@ func runLivenessMode(o Opts, label string, withFaults, deadlines bool) livenessM
 	if gets > 0 {
 		res.HitPct = 100 * float64(hits) / float64(gets)
 	}
-	h := reg.Histogram("hypercall.lat.GET")
+	h := lat.Op(cleancache.OpGet)
 	res.Gets = h.Count()
 	res.GetP50US = float64(h.Quantile(0.50)) / float64(time.Microsecond)
 	res.GetP99US = float64(h.Quantile(0.99)) / float64(time.Microsecond)

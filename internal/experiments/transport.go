@@ -13,7 +13,6 @@ import (
 	"doubledecker/internal/cleancache"
 	"doubledecker/internal/hypercall"
 	"doubledecker/internal/hypervisor"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/sim"
 	"doubledecker/internal/wallclock"
 )
@@ -56,15 +55,14 @@ type transportMode struct {
 // transport configuration.
 func runTransportMode(o Opts, label string, unbatched bool) transportMode {
 	engine := sim.New(o.Seed)
-	reg := metrics.NewRegistry()
+	lat := hypercall.NewOpLatency()
 	// NoPipeline on both modes: this experiment isolates batching, so the
 	// stock pipelined-read defaults (async gets, readahead) must not give
 	// the batched side a different op schedule than the unbatched
 	// baseline.
 	host := hypervisor.New(engine, hypervisor.Config{
 		MemCacheBytes: trMemCacheMiB * MiB,
-		Transport:     hypercall.Options{Unbatched: unbatched},
-		Metrics:       reg,
+		Transport:     hypercall.Options{Unbatched: unbatched, Latency: lat},
 		NoPipeline:    true,
 	})
 	vm := host.NewVM(1, 256*MiB, 100)
@@ -112,9 +110,15 @@ func runTransportMode(o Opts, label string, unbatched bool) transportMode {
 		res.WallNSPerOp = float64(wall.Nanoseconds()) / float64(res.Ops)
 	}
 	res.HitPct = host.Manager().PoolStats(1, pool).HitRatio()
-	res.MeanBatchOps = reg.Series("hypercall.batch_ops").Mean()
+	// BatchedOps/Batches is the mean ring occupancy per delivered drain
+	// here: with the pipeline off no tagged gets ride the ring, with no
+	// faults no crossing is abandoned or flush re-pushed, and the final
+	// FlushTransport drains every op accepted into the ring.
+	if st.Batches > 0 {
+		res.MeanBatchOps = float64(st.BatchedOps) / float64(st.Batches)
+	}
 	for _, op := range cleancache.OpCodes() {
-		if h := reg.Histogram("hypercall.lat." + op.String()); h.Count() > 0 {
+		if h := lat.Op(op); h.Count() > 0 {
 			res.OpLatencyNS[op.String()] = h.Mean().Nanoseconds()
 		}
 	}

@@ -70,12 +70,9 @@ type Options struct {
 	ZeroCopy bool
 	// StagingPages bounds the staging buffer (default 256 pages).
 	StagingPages int
-	// Metrics receives per-op-code latency histograms and batch
-	// telemetry; nil disables recording.
-	Metrics *metrics.Registry
-	// MetricsPrefix namespaces the recorded metrics (default
-	// "hypercall").
-	MetricsPrefix string
+	// Latency receives every op's charged latency by op code; nil
+	// disables recording.
+	Latency *OpLatency
 	// Faults injects transport faults (drop, corrupt, latency) at sites
 	// SiteBatch and SiteCall; nil disables injection.
 	Faults *fault.Injector
@@ -122,7 +119,10 @@ type TransportStats struct {
 	PagesMapped int64
 	// Batches is the number of multi-op crossings.
 	Batches int64
-	// BatchedOps is the number of operations delivered via batches.
+	// BatchedOps is the number of untagged operations accepted into the
+	// ring (puts, flushes, readaheads). Tagged gets are counted in
+	// AsyncGets instead, and flushes re-pushed after an abandoned
+	// crossing in RequeuedOps.
 	BatchedOps int64
 	// SyncOps is the number of operations delivered synchronously (gets,
 	// control ops, and everything in Unbatched mode).
@@ -182,55 +182,30 @@ type TransportStats struct {
 	MaxGetLatency time.Duration
 }
 
-// transportMetrics holds the metric handles the transport touches on hot
-// paths, resolved once at construction. A registry lookup concatenates a
-// name and takes the registry lock; doing that per retry or per drained
-// op inside t.mu serializes unrelated VMs on the registry. Nil when no
-// registry is configured.
-type transportMetrics struct {
-	batches        *metrics.Counter
-	batchedOps     *metrics.Counter
-	batchPages     *metrics.Counter
-	batchOps       *metrics.Series
-	droppedBatches *metrics.Counter
-	retries        *metrics.Counter
-	syncFailures   *metrics.Counter
-	flushAbandoned *metrics.Counter
-	asyncGets      *metrics.Counter
-	stagedHits     *metrics.Counter
-	stagedFills    *metrics.Counter
-	deadlineMisses *metrics.Counter
-	shedGets       *metrics.Counter
-	shedOps        *metrics.Counter
-	lat            []*metrics.Histogram // indexed by OpCode
+// OpLatency is a per-op-code sink for the latency a transport charges:
+// one histogram per cleancache.OpCode. Several transports may share one
+// sink, whose histograms then aggregate over all of them. Recording
+// costs a histogram lock per op, so stock transports carry no sink.
+type OpLatency struct {
+	hists []*metrics.Histogram // indexed by OpCode
 }
 
-func newTransportMetrics(reg *metrics.Registry, prefix string) *transportMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &transportMetrics{
-		batches:        reg.Counter(prefix + ".batches"),
-		batchedOps:     reg.Counter(prefix + ".batched_ops"),
-		batchPages:     reg.Counter(prefix + ".batch_pages"),
-		batchOps:       reg.Series(prefix + ".batch_ops"),
-		droppedBatches: reg.Counter(prefix + ".dropped_batches"),
-		retries:        reg.Counter(prefix + ".retries"),
-		syncFailures:   reg.Counter(prefix + ".sync_failures"),
-		flushAbandoned: reg.Counter(prefix + ".flush_abandoned"),
-		asyncGets:      reg.Counter(prefix + ".async_gets"),
-		stagedHits:     reg.Counter(prefix + ".staged_hits"),
-		stagedFills:    reg.Counter(prefix + ".staged_fills"),
-		deadlineMisses: reg.Counter(prefix + ".deadline_misses"),
-		shedGets:       reg.Counter(prefix + ".shed_gets"),
-		shedOps:        reg.Counter(prefix + ".shed_ops"),
-	}
+// NewOpLatency returns an empty sink with one histogram per op code.
+func NewOpLatency() *OpLatency {
 	ops := cleancache.OpCodes()
-	m.lat = make([]*metrics.Histogram, int(ops[len(ops)-1])+1)
+	l := &OpLatency{hists: make([]*metrics.Histogram, int(ops[len(ops)-1])+1)}
 	for _, op := range ops {
-		m.lat[int(op)] = reg.Histogram(prefix + ".lat." + op.String())
+		l.hists[op] = metrics.NewHistogram()
 	}
-	return m
+	return l
+}
+
+// Op returns op's histogram, or nil for an unknown op code.
+func (l *OpLatency) Op(op cleancache.OpCode) *metrics.Histogram {
+	if int(op) < len(l.hists) {
+		return l.hists[op]
+	}
+	return nil
 }
 
 // Transport is the batched, pipelined hypercall path from one VM to the
@@ -262,8 +237,8 @@ func newTransportMetrics(reg *metrics.Registry, prefix string) *transportMetrics
 //
 // Transport is safe for concurrent use by a VM's vCPU threads.
 type Transport struct {
-	be cleancache.Backend
-	m  *transportMetrics
+	be  cleancache.Backend
+	lat *OpLatency
 
 	// mu guards the ring and the traffic counters below. ch is set once at
 	// construction and read without the lock (Channel()); the Channel is
@@ -355,9 +330,6 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 	if opts.StagingPages <= 0 {
 		opts.StagingPages = DefaultStagingPages
 	}
-	if opts.MetricsPrefix == "" {
-		opts.MetricsPrefix = "hypercall"
-	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = DefaultRetryBase
 	}
@@ -372,7 +344,7 @@ func NewTransport(be cleancache.Backend, opts Options) *Transport {
 	}
 	return &Transport{
 		be:          be,
-		m:           newTransportMetrics(opts.Metrics, opts.MetricsPrefix),
+		lat:         opts.Latency,
 		ch:          NewChannelWithCosts(opts.CallCost, opts.PageCopyCost).WithMapCost(opts.PageMapCost).WithFaults(opts.Faults),
 		ring:        NewRing(opts.MaxBatchOps, opts.MaxBatchPages),
 		unbatched:   opts.Unbatched,
@@ -456,9 +428,6 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 			switch req.Op {
 			case cleancache.OpPut, cleancache.OpReadAhead:
 				t.shedOps++
-				if t.m != nil {
-					t.m.shedOps.Inc()
-				}
 				return cleancache.Response{Op: req.Op, Ok: false}
 			default: // ddlint:nonexhaustive — only flushes remain batchable
 			}
@@ -518,9 +487,6 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 				// stopped waiting, so the staged block is dropped (fail-
 				// to-miss) and the charge is clamped.
 				t.deadlineMisses++
-				if t.m != nil {
-					t.m.deadlineMisses.Inc()
-				}
 				t.observe(req.Op, t.opBudget)
 				return cleancache.Response{Op: req.Op, Ok: false, Latency: t.opBudget}
 			}
@@ -549,9 +515,6 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 		// cleancache-safe: a failed get is a miss (the guest re-reads from
 		// its virtual disk), a failed control op surfaces to its caller.
 		t.syncFailures++
-		if t.m != nil {
-			t.m.syncFailures.Inc()
-		}
 		lat := at - now
 		if deadline > 0 && req.Op == cleancache.OpGet && lat > t.opBudget {
 			lat = t.opBudget // the guest stopped waiting at the deadline
@@ -575,9 +538,6 @@ func (t *Transport) Submit(now time.Duration, req cleancache.Request) cleancache
 		// dropped — fail-to-miss, never data loss) and the charge is the
 		// budget, not the stalled crossing.
 		t.deadlineMisses++
-		if t.m != nil {
-			t.m.deadlineMisses.Inc()
-		}
 		resp.Ok = false
 		resp.Latency = t.opBudget
 	}
@@ -631,9 +591,6 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 		// immediate miss — the guest reads from disk — instead of growing
 		// the waiter table without bound while the transport is stalled.
 		t.shedGets++
-		if t.m != nil {
-			t.m.shedGets.Inc()
-		}
 		return cleancache.ReadyPendingGet(false, now), 0
 	}
 	pages := req.Op.Pages()
@@ -661,9 +618,6 @@ func (t *Transport) enqueueGetLocked(now time.Duration, req cleancache.Request) 
 	t.waiterKeys[tag] = req.Key
 	t.ring.PushTagged(tag, req, pages)
 	t.asyncGetOps++
-	if t.m != nil {
-		t.m.asyncGets.Inc()
-	}
 	if t.ring.Full() {
 		lat += t.drainLocked(now + lat)
 	}
@@ -708,15 +662,9 @@ func (t *Transport) resolveLocked(now, submitLat time.Duration, pg *cleancache.P
 	if pg.DeadlineExceeded() {
 		if !preExpired {
 			t.deadlineMisses++
-			if t.m != nil {
-				t.m.deadlineMisses.Inc()
-			}
 		}
 	} else if pg.Failed() {
 		t.syncFailures++
-		if t.m != nil {
-			t.m.syncFailures.Inc()
-		}
 	}
 	t.observe(cleancache.OpGet, resp.Latency)
 	return resp
@@ -736,9 +684,6 @@ func (t *Transport) consumeStagedLocked(now time.Duration, key cleancache.Key) (
 	if t.opBudget > 0 {
 		if readyAt, ok := t.staged[key]; ok && readyAt-now > t.opBudget {
 			t.deadlineMisses++
-			if t.m != nil {
-				t.m.deadlineMisses.Inc()
-			}
 			return 0, false
 		}
 	}
@@ -782,9 +727,6 @@ func (t *Transport) stageLocked(at time.Duration, req cleancache.Request, resp c
 		t.staged[key] = ready
 		t.stagedOrder = append(t.stagedOrder, key)
 		t.stagedFills++
-		if t.m != nil {
-			t.m.stagedFills.Inc()
-		}
 	}
 }
 
@@ -864,9 +806,6 @@ func (t *Transport) crossLocked(now time.Duration, pages int, payload []byte, si
 		}
 		t.retries++
 		t.backoff += backoff
-		if t.m != nil {
-			t.m.retries.Inc()
-		}
 		at += backoff
 		backoff *= 2
 		if backoff > t.retryCap {
@@ -918,9 +857,6 @@ func (t *Transport) requeueLocked(at time.Duration) {
 		}
 		if gen > t.maxRequeues {
 			t.flushAbandoned++
-			if t.m != nil {
-				t.m.flushAbandoned.Inc()
-			}
 			return
 		}
 		keep = append(keep, f.Req)
@@ -988,9 +924,6 @@ func (t *Transport) Watchdog(now time.Duration) int {
 		pg.FailDeadline(dl)
 		t.watchdogFails++
 		t.deadlineMisses++
-		if t.m != nil {
-			t.m.deadlineMisses.Inc()
-		}
 		n++
 	}
 	return n
@@ -1054,21 +987,12 @@ func (t *Transport) drainLocked(now time.Duration) time.Duration {
 		// Attempt budget exhausted: abandon the batch, salvaging what the
 		// contract requires (see requeueLocked).
 		t.droppedBatches++
-		if t.m != nil {
-			t.m.droppedBatches.Inc()
-		}
 		t.requeueLocked(now + lat)
 		return lat
 	}
 	t.batches++
 	t.requeueGens = t.requeueGens[:0] // delivered: salvaged flushes made it
 	perOp := lat / time.Duration(ops) // amortized transport share
-	if t.m != nil {
-		t.m.batches.Inc()
-		t.m.batchedOps.Add(int64(ops))
-		t.m.batchPages.Add(int64(pages))
-		t.m.batchOps.Record(now, float64(ops))
-	}
 	acc := lat
 	t.completions = t.completions[:0]
 	t.ring.DrainFrames(func(f Frame) {
@@ -1152,9 +1076,6 @@ func (t *Transport) stagedHitLocked(key cleancache.Key) (time.Duration, bool) {
 	}
 	delete(t.staged, key)
 	t.stagedHits++
-	if t.m != nil {
-		t.m.stagedHits.Inc()
-	}
 	return readyAt, true
 }
 
@@ -1184,7 +1105,7 @@ func (t *Transport) deliverCompletionsLocked(delay time.Duration) {
 	t.completions = t.completions[:0]
 }
 
-// observe records one op's charged latency in its per-op-code histogram
+// observe records one op's charged latency in the latency sink, if any,
 // and tracks the worst charge any single get saw — the liveness bound
 // the deadline budget enforces.
 //
@@ -1193,10 +1114,10 @@ func (t *Transport) observe(op cleancache.OpCode, d time.Duration) {
 	if op == cleancache.OpGet && d > t.maxGetLat {
 		t.maxGetLat = d
 	}
-	if t.m == nil {
+	if t.lat == nil {
 		return
 	}
-	if i := int(op); i >= 0 && i < len(t.m.lat) && t.m.lat[i] != nil {
-		t.m.lat[i].Observe(d)
+	if h := t.lat.Op(op); h != nil {
+		h.Observe(d)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"doubledecker/internal/cleancache"
-	"doubledecker/internal/metrics"
 )
 
 // seqBackend is an in-memory Dispatch backend that records every op in
@@ -236,9 +235,9 @@ func TestUnbatchedModeChargesPerOp(t *testing.T) {
 }
 
 func TestTransportMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
+	lat := NewOpLatency()
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{Metrics: reg})
+	tr := NewTransport(be, Options{Latency: lat})
 	pool := newPool(t, tr)
 
 	for i := 0; i < 5; i++ {
@@ -250,18 +249,12 @@ func TestTransportMetrics(t *testing.T) {
 		Key: cleancache.Key{Pool: pool, Inode: 1, Block: 0},
 	})
 
-	if got := reg.Counter("hypercall.batches").Value(); got != 1 {
-		t.Fatalf("batches counter = %d, want 1", got)
+	if st := tr.Stats(); st.Batches != 1 || st.BatchedOps != 5 {
+		t.Fatalf("batches = %d, batched ops = %d, want 1 and 5", st.Batches, st.BatchedOps)
 	}
-	if got := reg.Counter("hypercall.batched_ops").Value(); got != 5 {
-		t.Fatalf("batched_ops counter = %d, want 5", got)
-	}
-	if got := reg.Series("hypercall.batch_ops").Last().Value; got != 5 {
-		t.Fatalf("batch occupancy sample = %v, want 5", got)
-	}
-	for _, name := range []string{"hypercall.lat.PUT", "hypercall.lat.GET", "hypercall.lat.CREATE_CGROUP"} {
-		if reg.Histogram(name).Count() == 0 {
-			t.Fatalf("histogram %s empty", name)
+	for _, op := range []cleancache.OpCode{cleancache.OpPut, cleancache.OpGet, cleancache.OpCreateCgroup} {
+		if lat.Op(op).Count() == 0 {
+			t.Fatalf("%s latency histogram empty", op)
 		}
 	}
 }

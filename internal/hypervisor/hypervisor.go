@@ -13,7 +13,6 @@ import (
 	"doubledecker/internal/fault"
 	"doubledecker/internal/guest"
 	"doubledecker/internal/hypercall"
-	"doubledecker/internal/metrics"
 	"doubledecker/internal/policy"
 	"doubledecker/internal/sim"
 	"doubledecker/internal/store"
@@ -36,8 +35,8 @@ type Config struct {
 	RemoteCacheBytes int64
 	// Remote overrides the modeled remote store's latency, throughput and
 	// cost parameters (zero fields keep the store/remote defaults). The
-	// CapacityBytes, Faults and Metrics fields are overwritten from the
-	// host configuration.
+	// CapacityBytes and Faults fields are overwritten from the host
+	// configuration.
 	Remote remote.Config
 	// Demotion tunes the manager's write-behind demotion queue.
 	Demotion ddcache.DemotionConfig
@@ -53,12 +52,10 @@ type Config struct {
 	// (nil = the paper's Algorithm 1); used by ablation benchmarks.
 	VictimSelector func(ents []policy.Entity, evictionSize int64) int
 	// Transport parameterizes each VM's hypercall transport (batch
-	// bounds, costs, unbatched baseline). The zero value selects the
+	// bounds, costs, unbatched baseline, the per-op latency budget and
+	// admission caps, the latency sink). The zero value selects the
 	// batched defaults.
 	Transport hypercall.Options
-	// Metrics, when set, receives the transports' per-op-code latency
-	// histograms and batch telemetry, plus the SSD breaker's events.
-	Metrics *metrics.Registry
 	// GuestFlushInterval overrides the guests' transport flush tick.
 	GuestFlushInterval time.Duration
 	// ReadAheadWindow sets every guest's pipelined-read window (see
@@ -85,18 +82,10 @@ type Config struct {
 	// whenever RemoteCacheBytes is set); the zero value keeps the
 	// defaults.
 	RemoteBreaker ddcache.BreakerConfig
-	// OpBudget is the per-operation latency budget every VM's transport
-	// enforces on the data path (see hypercall.Options.OpBudget); zero
-	// disables deadlines. Overrides Transport.OpBudget when set.
-	OpBudget time.Duration
 	// WatchdogPeriod is each guest's deadline-watchdog tick period; zero
-	// with OpBudget set defaults to OpBudget (a waiter is failed at most
-	// one budget late).
+	// with Transport.OpBudget set defaults to that budget (a waiter is
+	// failed at most one budget late).
 	WatchdogPeriod time.Duration
-	// MaxInflightGets and MaxQueuedOps are the per-VM transport admission
-	// caps (see hypercall.Options); zero means unlimited.
-	MaxInflightGets int
-	MaxQueuedOps    int
 	// MaxInflightOps is the hypervisor-wide admission budget on the cache
 	// manager (see ddcache.Config.MaxInflightOps); zero disables it.
 	MaxInflightOps int64
@@ -122,9 +111,6 @@ type Host struct {
 // New builds a host with the given cache configuration.
 func New(engine *sim.Engine, cfg Config) *Host {
 	topts := cfg.Transport
-	if topts.Metrics == nil {
-		topts.Metrics = cfg.Metrics
-	}
 	if topts.Faults == nil {
 		topts.Faults = cfg.Faults
 	}
@@ -143,18 +129,8 @@ func New(engine *sim.Engine, cfg Config) *Host {
 	if cfg.ReadAheadWindow < 0 {
 		cfg.ReadAheadWindow = 0
 	}
-	// Deadline and admission plumbing: the host-level knobs override the
-	// raw transport options, and a budget without a watchdog period gets
-	// one — a waiter is then failed at most one budget past its deadline.
-	if cfg.OpBudget > 0 {
-		topts.OpBudget = cfg.OpBudget
-	}
-	if cfg.MaxInflightGets > 0 {
-		topts.MaxInflightGets = cfg.MaxInflightGets
-	}
-	if cfg.MaxQueuedOps > 0 {
-		topts.MaxQueuedOps = cfg.MaxQueuedOps
-	}
+	// A budget without a watchdog period gets one: a waiter is then
+	// failed at most one budget past its deadline.
 	if cfg.WatchdogPeriod == 0 && topts.OpBudget > 0 {
 		cfg.WatchdogPeriod = topts.OpBudget
 	}
@@ -174,7 +150,6 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		ddcache.WithMode(cfg.Mode),
 		ddcache.WithEvictBatch(cfg.EvictBatchBytes),
 		ddcache.WithVictimSelector(cfg.VictimSelector),
-		ddcache.WithMetrics(cfg.Metrics),
 		ddcache.WithSSDBreaker(cfg.Breaker),
 		ddcache.WithRemoteBreaker(cfg.RemoteBreaker),
 		ddcache.WithDemotion(cfg.Demotion),
@@ -190,7 +165,6 @@ func New(engine *sim.Engine, cfg Config) *Host {
 		rcfg := cfg.Remote
 		rcfg.CapacityBytes = cfg.RemoteCacheBytes
 		rcfg.Faults = cfg.Faults
-		rcfg.Metrics = cfg.Metrics
 		h.remote = remote.New(rcfg)
 		mopts = append(mopts, ddcache.WithRemoteBackend(h.remote))
 	}

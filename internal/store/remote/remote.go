@@ -2,7 +2,7 @@
 // tier behind the store.Backend interface (ROADMAP item 1): a wide-area
 // service with a configurable per-request latency distribution, a
 // throughput cap shared by all transfers, and per-request plus per-byte
-// cost accounting surfaced through metrics.
+// cost accounting reported by Cost.
 //
 // The device model differs from the host devices in internal/blockdev in
 // one important way: a remote object store is not an FCFS disk. Requests
@@ -33,7 +33,6 @@ import (
 
 	"doubledecker/internal/cgroup"
 	"doubledecker/internal/fault"
-	"doubledecker/internal/metrics"
 )
 
 func init() {
@@ -78,9 +77,6 @@ type Config struct {
 	// Faults, when non-nil, is consulted on every request under the
 	// sites "<name>.get" and "<name>.put".
 	Faults *fault.Injector
-	// Metrics, when non-nil, receives the counters "<name>.requests",
-	// "<name>.bytes" and "<name>.errors".
-	Metrics *metrics.Registry
 }
 
 // CostStats is a snapshot of the accounted bill.
@@ -105,9 +101,6 @@ type Store struct {
 	busyUntil time.Duration
 
 	siteGet, sitePut string
-	mRequests        *metrics.Counter
-	mBytes           *metrics.Counter
-	mErrors          *metrics.Counter
 }
 
 // New returns a remote store with cfg's zero fields defaulted.
@@ -138,11 +131,6 @@ func New(cfg Config) *Store {
 		sitePut: cfg.Name + ".put",
 	}
 	s.capacity.Store(cfg.CapacityBytes)
-	if reg := cfg.Metrics; reg != nil {
-		s.mRequests = reg.Counter(cfg.Name + ".requests")
-		s.mBytes = reg.Counter(cfg.Name + ".bytes")
-		s.mErrors = reg.Counter(cfg.Name + ".errors")
-	}
 	return s
 }
 
@@ -162,10 +150,6 @@ func (s *Store) UsedBytes() int64 { return s.used.Load() }
 func (s *Store) account(size int64) {
 	s.requests.Add(1)
 	s.bytes.Add(size)
-	if s.mRequests != nil {
-		s.mRequests.Inc()
-		s.mBytes.Add(size)
-	}
 }
 
 // jitter returns the deterministic latency spread for request seq: a
@@ -222,9 +206,6 @@ func (s *Store) faultAdjust(now time.Duration, site string, svc time.Duration) (
 func (s *Store) Store(now time.Duration, size int64) (time.Duration, error) {
 	s.account(size)
 	if _, err := s.faultAdjust(now, s.sitePut, 0); err != nil {
-		if s.mErrors != nil {
-			s.mErrors.Inc()
-		}
 		return time.Microsecond, err
 	}
 	s.transfer(now, size) // absorbed: the pipe is busy, the caller is not
@@ -239,9 +220,6 @@ func (s *Store) Fetch(now time.Duration, size int64) (time.Duration, error) {
 	svc := s.cfg.BaseLatency + s.jitter(s.fetchSeq.Add(1))
 	svc, err := s.faultAdjust(now, s.siteGet, svc)
 	if err != nil {
-		if s.mErrors != nil {
-			s.mErrors.Inc()
-		}
 		return svc, err
 	}
 	return svc + s.transfer(now, size), nil
