@@ -267,9 +267,15 @@ func LivenessExp(o Opts) *Result {
 			"leaked_pending":     float64(m.LeakedPending),
 			"injected_faults":    float64(m.InjectedFaults),
 		})
+		// Every get the transport counts as a deadline miss is one guest
+		// read that fell back to disk, and vice versa.
+		r.Metrics[m.Label+".deadline_misses_minus_fallbacks"] = float64(m.DeadlineMisses - m.DeadlineFallbacks)
 		// Teardown with work in flight must leave no transport state.
 		for _, leak := range []string{"leaked_waiters", "leaked_staged", "leaked_pending"} {
 			r.gate(m.Label+"."+leak, "==", 0)
+		}
+		if m.Deadlines {
+			r.gate(m.Label+".deadline_misses_minus_fallbacks", "==", 0)
 		}
 	}
 	r.Tables = append(r.Tables, lat, sum)
