@@ -146,8 +146,9 @@ func (op OpCode) Pages() int {
 //	GET_STATS           Key.Pool
 //	READ_AHEAD          Key (first block), Count (max blocks)
 //
-// VM is always set. Requests are value types so a batch is just
-// []Request (or its wire encoding, see internal/hypercall).
+// VM is always set. Requests are value types, so a batch is a slice of
+// them; internal/hypercall encodes them only for a crossing whose fault
+// model checksums the payload.
 type Request struct {
 	Op      OpCode
 	VM      VMID

@@ -215,12 +215,17 @@ const (
 	markerCompletion byte = 0xF9
 )
 
-// Frame is one decoded ring entry: a plain request, or a tagged request
-// whose completion will arrive out of order.
+// Frame is one ring entry: a plain request, or a tagged request whose
+// completion will arrive out of order. The unexported fields are the
+// ring's bookkeeping and never cross the wire.
 type Frame struct {
 	Tagged bool
 	Tag    uint64
 	Req    cleancache.Request
+
+	pages     int  // page budget the frame reserves in its batch
+	requeues  int  // abandoned crossings this frame has survived
+	cancelled bool // tagged get failed by the watchdog: release, never dispatch
 }
 
 // EncodeTagged appends a tagged request frame — the in-flight half of an

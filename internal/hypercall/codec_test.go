@@ -55,7 +55,8 @@ func TestCodecRoundTripAllOps(t *testing.T) {
 }
 
 func TestCodecFrameStream(t *testing.T) {
-	// Concatenated frames decode back in order, as Ring.Drain relies on.
+	// Concatenated frames decode back in order: a batch's wire payload
+	// is its frames' encodings back to back.
 	var buf []byte
 	var want []cleancache.Request
 	for _, op := range cleancache.OpCodes() {
@@ -77,7 +78,7 @@ func TestCodecFrameStream(t *testing.T) {
 
 func TestTaggedFrameRoundTrip(t *testing.T) {
 	// A mixed stream of plain and tagged frames decodes back in order
-	// with tags intact — the shape DrainFrames consumes.
+	// with tags intact — the payload of a batch carrying async gets.
 	type wantFrame struct {
 		tagged bool
 		tag    uint64

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzDecodeBatch feeds arbitrary byte streams to the frame decoder the
-// way Ring.Drain consumes them: frames decoded from the front until the
-// stream is empty or rejected. The decoder must never panic, must make
+// way a receiver would consume a batch payload: frames decoded from the
+// front until the stream is empty or rejected. The decoder must never panic, must make
 // strict forward progress, and everything it accepts must re-encode to a
 // frame that decodes to the same request — decode is a left inverse of
 // encode on its entire accepted domain, not just on canonical output.
@@ -52,7 +52,7 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 // FuzzCompletionStream feeds arbitrary byte streams to the completion
-// decoder the way deliverCompletionsLocked consumes them: never panic,
+// decoder the way a receiver would consume a completion ring: never panic,
 // strict forward progress, and everything accepted must re-encode to a
 // frame that decodes identically.
 func FuzzCompletionStream(f *testing.F) {

@@ -6,11 +6,14 @@
 // reports.
 //
 // On top of the raw Channel cost model, the package provides the batched
-// Transport: a per-VM bounded ring of wire-encoded requests
-// (EncodeRequest/DecodeRequest) in which fire-and-forget operations
-// (put, flush) coalesce into multi-op crossings of up to MaxBatchOps
-// operations or MaxBatchPages pages — the paper's 2 MiB granularity —
-// paying one world switch per batch instead of one per op. See Transport.
+// Transport: a per-VM bounded ring of request frames in which
+// fire-and-forget operations (put, flush) coalesce into multi-op
+// crossings of up to DefaultMaxBatchOps operations or
+// DefaultMaxBatchPages pages — the paper's 2 MiB granularity — paying one
+// world switch per batch instead of one per op. See Transport. Frames
+// cross as values, as a VMCALL's arguments do; the wire codec
+// (EncodeRequest and friends) produces the bytes a faulty crossing
+// checksums, and nothing else.
 package hypercall
 
 import (
@@ -35,8 +38,8 @@ const (
 )
 
 // Fault-injection sites the transport consults: one decision per batched
-// crossing, one per synchronous call, and one per completion-frame (0xF9)
-// delivery — so plans can stall or lose completions independently of the
+// crossing, one per synchronous call, and one per delivery of a drain's
+// completions — so plans can stall or lose completions independently of the
 // submissions that produced them.
 const (
 	SiteBatch      = "transport.batch"
@@ -72,22 +75,7 @@ type Channel struct {
 
 // NewChannel returns a channel with the default VMCALL cost model.
 func NewChannel() *Channel {
-	return NewChannelWithCosts(DefaultCallCost, DefaultPageCopyCost)
-}
-
-// NewChannelWithCosts returns a channel with explicit costs, for
-// sensitivity experiments.
-func NewChannelWithCosts(call, pageCopy time.Duration) *Channel {
-	return &Channel{callCost: call, copyCost: pageCopy, mapCost: DefaultPageMapCost}
-}
-
-// WithMapCost overrides the zero-copy page-map cost and returns the
-// channel.
-func (c *Channel) WithMapCost(d time.Duration) *Channel {
-	if d > 0 {
-		c.mapCost = d
-	}
-	return c
+	return &Channel{callCost: DefaultCallCost, copyCost: DefaultPageCopyCost, mapCost: DefaultPageMapCost}
 }
 
 // Cost returns the transport latency for one call moving pages of data,
@@ -122,7 +110,7 @@ func (c *Channel) WithFaults(in *fault.Injector) *Channel {
 }
 
 // Deliver models one crossing at site carrying the wire-encoded payload
-// plus pages data pages. It charges the world-switch and copy cost,
+// plus pages data pages (payload may be nil without an injector). It charges the world-switch and copy cost,
 // stamps the payload with its FNV-1a checksum on the send side, plays the
 // fault plan in flight, and verifies the checksum on the receive side:
 //

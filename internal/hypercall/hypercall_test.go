@@ -22,7 +22,8 @@ func TestCostAndCounters(t *testing.T) {
 }
 
 func TestCustomCosts(t *testing.T) {
-	c := NewChannelWithCosts(time.Microsecond, 2*time.Microsecond)
+	c := NewChannel()
+	c.callCost, c.copyCost = time.Microsecond, 2*time.Microsecond
 	if got := c.Cost(3); got != 7*time.Microsecond {
 		t.Fatalf("Cost(3) = %v, want 7µs", got)
 	}

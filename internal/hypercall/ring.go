@@ -2,20 +2,21 @@ package hypercall
 
 import "doubledecker/internal/cleancache"
 
-// Ring is a bounded buffer of wire-encoded requests awaiting one
-// multi-op crossing. It models the per-VM shared ring a real transport
-// would map between guest and hypervisor: frames are appended
-// contiguously in FIFO order, and the ring is bounded both by operation
-// count and by page payload (the paper's 2 MiB granularity).
+// Ring is the per-VM bounded queue of frames awaiting one multi-op
+// crossing. It models the shared ring a real transport would map between
+// guest and hypervisor: frames are appended in FIFO order, and the ring
+// is bounded both by operation count and by page payload (the paper's
+// 2 MiB granularity). Frames are held as values, as a VMCALL carries its
+// arguments; a frame is wire-encoded only when a faulty crossing needs a
+// payload to checksum (see Transport.payload).
 //
 // Ring is not self-locking; the owning Transport serializes access.
 type Ring struct {
 	maxOps   int
 	maxPages int
 
-	buf   []byte
-	ops   int
-	pages int
+	frames []Frame
+	pages  int
 }
 
 // NewRing returns an empty ring bounded by maxOps frames and maxPages
@@ -25,67 +26,82 @@ func NewRing(maxOps, maxPages int) *Ring {
 }
 
 // Len reports the number of buffered operations.
-func (r *Ring) Len() int { return r.ops }
+func (r *Ring) Len() int { return len(r.frames) }
 
 // Pages reports the page payload of the buffered operations.
 func (r *Ring) Pages() int { return r.pages }
 
-// Bytes exposes the encoded frames awaiting delivery, for checksumming.
-// The slice aliases the ring's buffer; callers must not retain it across
-// Push or Drain.
-func (r *Ring) Bytes() []byte { return r.buf }
-
 // Fits reports whether one more op moving pages of data can be accepted
 // without exceeding the ring bounds.
 func (r *Ring) Fits(pages int) bool {
-	return r.ops < r.maxOps && r.pages+pages <= r.maxPages
+	return len(r.frames) < r.maxOps && r.pages+pages <= r.maxPages
 }
 
 // Full reports whether the ring has reached either bound (no further
 // page-carrying op fits).
 func (r *Ring) Full() bool {
-	return r.ops >= r.maxOps || r.pages >= r.maxPages
+	return len(r.frames) >= r.maxOps || r.pages >= r.maxPages
 }
 
-// Push encodes req onto the ring. The caller must have checked Fits.
+// Push appends req to the ring. The caller must have checked Fits.
 func (r *Ring) Push(req cleancache.Request) {
-	r.buf = EncodeRequest(r.buf, req)
-	r.ops++
-	r.pages += req.Op.Pages()
+	r.push(Frame{Req: req, pages: req.Op.Pages()})
 }
 
-// PushTagged encodes a tagged request onto the ring: an asynchronous get
-// riding the batch, whose completion is demultiplexed by tag. pages is
-// the response payload the frame reserves in the batch's page budget
-// (0 when the answer page is mapped instead of copied). The caller must
-// have checked Fits.
+// PushTagged appends a tagged request: an asynchronous get riding the
+// batch, whose completion is demultiplexed by tag. pages is the response
+// payload the frame reserves in the batch's page budget (0 when the
+// answer page is mapped instead of copied). The caller must have checked
+// Fits.
 func (r *Ring) PushTagged(tag uint64, req cleancache.Request, pages int) {
-	r.buf = EncodeTagged(r.buf, tag, req)
-	r.ops++
-	r.pages += pages
+	r.push(Frame{Tagged: true, Tag: tag, Req: req, pages: pages})
 }
 
-// Drain decodes every buffered frame in FIFO order, invoking fn for
-// each, and empties the ring. Tags are dropped; transports that push
-// tagged frames must use DrainFrames. Decode errors are impossible for
-// frames produced by Push, so fn sees exactly the pushed sequence.
-func (r *Ring) Drain(fn func(req cleancache.Request)) {
-	r.DrainFrames(func(f Frame) { fn(f.Req) })
+func (r *Ring) push(f Frame) {
+	r.frames = append(r.frames, f)
+	r.pages += f.pages
 }
 
-// DrainFrames decodes every buffered frame — plain and tagged — in FIFO
-// order, invoking fn for each, and empties the ring.
-func (r *Ring) DrainFrames(fn func(f Frame)) {
-	b := r.buf
-	for len(b) > 0 {
-		f, n, err := DecodeFrame(b)
-		if err != nil {
-			break // corrupted tail: drop it (cannot happen via Push)
+// Frames returns the buffered frames in FIFO order. The slice aliases the
+// ring: callers may mark frames in place but must not retain it across
+// Push, Drain or Retain.
+func (r *Ring) Frames() []Frame { return r.frames }
+
+// Cancel marks the buffered tagged frame tag cancelled, so the drain that
+// carries it releases its slot without dispatching. It reports whether
+// the frame was still buffered.
+func (r *Ring) Cancel(tag uint64) bool {
+	for i := range r.frames {
+		if f := &r.frames[i]; f.Tagged && f.Tag == tag {
+			f.cancelled = true
+			return true
 		}
-		b = b[n:]
-		fn(f)
 	}
-	r.buf = r.buf[:0]
-	r.ops = 0
+	return false
+}
+
+// Drain invokes fn on every buffered frame in FIFO order and empties the
+// ring.
+func (r *Ring) Drain(fn func(f *Frame)) {
+	for i := range r.frames {
+		fn(&r.frames[i])
+	}
+	r.frames = r.frames[:0]
 	r.pages = 0
+}
+
+// Retain invokes keep on every buffered frame in FIFO order, compacts the
+// frames it returns true for to the front of the ring, still in FIFO
+// order, and drops the rest.
+func (r *Ring) Retain(keep func(f *Frame) bool) {
+	n, pages := 0, 0
+	for i := range r.frames {
+		if keep(&r.frames[i]) {
+			r.frames[n] = r.frames[i]
+			pages += r.frames[n].pages
+			n++
+		}
+	}
+	r.frames = r.frames[:n]
+	r.pages = pages
 }

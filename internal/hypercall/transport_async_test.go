@@ -281,7 +281,8 @@ func TestStagedInvalidation(t *testing.T) {
 
 func TestStagingBufferBounded(t *testing.T) {
 	be := newRABackend()
-	tr := NewTransport(be, Options{StagingPages: 4})
+	tr := NewTransport(be, Options{})
+	tr.stagingCap = 4
 	pool := newPool(t, tr)
 	for b := int64(0); b < 8; b++ {
 		tr.Submit(0, put(pool, 1, b))
@@ -343,19 +344,15 @@ func TestZeroCopyMapsBulkPages(t *testing.T) {
 
 func TestFlushRequeueCapSurfacesAbandonment(t *testing.T) {
 	// Satellite regression: a persistent transport fault must not
-	// re-queue the same flush forever. After MaxRequeues abandoned
+	// re-queue the same flush forever. After maxRequeues abandoned
 	// crossings the flush is dropped and surfaced as FlushAbandoned.
 	inj := fault.New(fault.Plan{Rules: []fault.Rule{
 		{Site: SiteBatch, Kind: fault.KindDrop, To: time.Second},
 	}})
 	be := newRABackend()
-	tr := NewTransport(be, Options{
-		Faults:      inj,
-		MaxAttempts: 2,
-		MaxRequeues: 2,
-		RetryBase:   time.Microsecond,
-		RetryCap:    time.Microsecond,
-	})
+	tr := NewTransport(be, Options{Faults: inj})
+	tr.maxAttempts, tr.maxRequeues = 2, 2
+	tr.retryBase, tr.retryCap = time.Microsecond, time.Microsecond
 
 	tr.Submit(0, put(1, 1, 0))
 	tr.Submit(0, cleancache.Request{
@@ -371,7 +368,7 @@ func TestFlushRequeueCapSurfacesAbandonment(t *testing.T) {
 	if s := tr.Stats(); s.Pending != 1 || s.RequeuedOps != 2 || s.FlushAbandoned != 0 {
 		t.Fatalf("after abandon 2: %+v", s)
 	}
-	tr.Flush(0) // abandon #3: gen 3 > MaxRequeues, flush dropped
+	tr.Flush(0) // abandon #3: 3 abandoned crossings > maxRequeues, flush dropped
 	s := tr.Stats()
 	if s.Pending != 0 {
 		t.Fatalf("flush still pending after exceeding requeue cap: %+v", s)
@@ -396,18 +393,14 @@ func TestRequeueGenerationsResetOnDelivery(t *testing.T) {
 		{Site: SiteBatch, Kind: fault.KindDrop, To: time.Millisecond},
 	}})
 	be := newRABackend()
-	tr := NewTransport(be, Options{
-		Faults:      inj,
-		MaxAttempts: 2,
-		MaxRequeues: 1,
-		RetryBase:   time.Microsecond,
-		RetryCap:    time.Microsecond,
-	})
+	tr := NewTransport(be, Options{Faults: inj})
+	tr.maxAttempts, tr.maxRequeues = 2, 1
+	tr.retryBase, tr.retryCap = time.Microsecond, time.Microsecond
 	tr.Submit(0, cleancache.Request{
 		Op: cleancache.OpFlushPage, VM: 1,
 		Key: cleancache.Key{Pool: 1, Inode: 1, Block: 0},
 	})
-	tr.Flush(0) // abandoned, requeued at gen 1 == MaxRequeues
+	tr.Flush(0) // abandoned once (== maxRequeues), requeued
 	if s := tr.Stats(); s.Pending != 1 {
 		t.Fatalf("flush not requeued: %+v", s)
 	}
@@ -422,13 +415,9 @@ func TestAbandonedAsyncGetIsMissNotLoss(t *testing.T) {
 		{Site: SiteBatch, Kind: fault.KindDrop, From: time.Millisecond, To: 2 * time.Millisecond},
 	}})
 	be := newRABackend()
-	tr := NewTransport(be, Options{
-		AsyncGets:   true,
-		Faults:      inj,
-		MaxAttempts: 2,
-		RetryBase:   time.Microsecond,
-		RetryCap:    time.Microsecond,
-	})
+	tr := NewTransport(be, Options{AsyncGets: true, Faults: inj})
+	tr.maxAttempts = 2
+	tr.retryBase, tr.retryCap = time.Microsecond, time.Microsecond
 	pool := newPool(t, tr)
 	tr.Submit(0, put(pool, 1, 0))
 	tr.Flush(0)

@@ -62,12 +62,8 @@ func TestAbandonedBatchDropsPutsRequeuesFlushes(t *testing.T) {
 		{Site: SiteBatch, Kind: fault.KindDrop, To: time.Millisecond},
 	}})
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{
-		Faults:      inj,
-		MaxAttempts: 3,
-		RetryBase:   time.Microsecond,
-		RetryCap:    2 * time.Microsecond,
-	})
+	tr := NewTransport(be, Options{Faults: inj})
+	tr.maxAttempts, tr.retryBase, tr.retryCap = 3, time.Microsecond, 2*time.Microsecond
 	pool := newPool(t, tr)
 
 	tr.Submit(0, put(pool, 1, 0))
@@ -102,7 +98,8 @@ func TestSyncFailureReportsMissWithoutLosingData(t *testing.T) {
 		{Site: SiteCall, Kind: fault.KindDrop, From: time.Millisecond, To: 10 * time.Millisecond},
 	}})
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{Faults: inj, MaxAttempts: 2})
+	tr := NewTransport(be, Options{Faults: inj})
+	tr.maxAttempts = 2
 	pool := newPool(t, tr) // now=0: before the fault window
 	tr.Submit(0, put(pool, 1, 0))
 	tr.Flush(0)
@@ -130,12 +127,8 @@ func TestRetryBackoffIsCapped(t *testing.T) {
 		{Site: SiteBatch, Kind: fault.KindDrop, Prob: 1},
 	}})
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{
-		Faults:      inj,
-		MaxAttempts: 5,
-		RetryBase:   10 * time.Microsecond,
-		RetryCap:    20 * time.Microsecond,
-	})
+	tr := NewTransport(be, Options{Faults: inj})
+	tr.maxAttempts, tr.retryBase, tr.retryCap = 5, 10*time.Microsecond, 20*time.Microsecond
 	pool := newPool(t, tr)
 	tr.Submit(0, put(pool, 1, 0))
 	tr.Flush(0)

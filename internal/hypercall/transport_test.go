@@ -173,7 +173,8 @@ func TestDestroyPoolFlushesPendingOps(t *testing.T) {
 
 func TestBatchDrainsWhenOpBoundReached(t *testing.T) {
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{MaxBatchOps: 8, MaxBatchPages: 1 << 20})
+	tr := NewTransport(be, Options{})
+	tr.ring = NewRing(8, 1<<20)
 	pool := newPool(t, tr)
 	callsAfterCreate := tr.Stats().Calls
 
@@ -191,7 +192,8 @@ func TestBatchDrainsWhenOpBoundReached(t *testing.T) {
 
 func TestBatchDrainsWhenPageBoundReached(t *testing.T) {
 	be := newSeqBackend()
-	tr := NewTransport(be, Options{MaxBatchOps: 1024, MaxBatchPages: 4})
+	tr := NewTransport(be, Options{})
+	tr.ring = NewRing(1024, 4)
 	pool := newPool(t, tr)
 	callsAfterCreate := tr.Stats().Calls
 
